@@ -21,6 +21,13 @@
 //! so after the first day a month-long run stops rebuilding entirely
 //! instead of rebuilding at every breakpoint crossing.
 //!
+//! Each retained model also keeps its solver state: the sparse LP
+//! engine, its simplex workspace and the root propagation rows, built
+//! at the model's first solve. The value mutators above patch that
+//! engine in place, so an hour that hits the cache reaches
+//! branch-and-bound without rebuilding any solver state (see
+//! [`billcap_milp::IncrementalModel`]).
+//!
 //! **Bitwise contract:** with basis reuse off (the default), every
 //! decision is bit-for-bit identical to [`crate::BillCapper::decide_hour`]
 //! on the same inputs. Both paths share the level math
@@ -516,7 +523,7 @@ impl HourBackend for EngineCore {
         Self::sync_levels(step, &params)?;
         step.im.set_rhs("demand", lambda / RATE_SCALE)?;
         crate::speclint::lint_model_if_enabled(step.im.model())?;
-        let sol = self.min_solver.solve(&step.im)?;
+        let sol = self.min_solver.solve(&mut step.im)?;
         crate::audit::certify_if_enabled(step.im.model(), &sol)?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }
@@ -543,7 +550,7 @@ impl HourBackend for EngineCore {
         step.im.set_rhs("offered", lambda / RATE_SCALE)?;
         step.im.set_rhs("budget", budget.max(0.0))?;
         crate::speclint::lint_model_if_enabled(step.im.model())?;
-        let sol = self.max_solver.solve(&step.im)?;
+        let sol = self.max_solver.solve(&mut step.im)?;
         crate::audit::certify_if_enabled(step.im.model(), &sol)?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }

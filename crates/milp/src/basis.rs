@@ -18,6 +18,12 @@
 //! Forrest–Tomlin refines; the engine refactorizes from scratch once the
 //! eta file grows past its refactorization interval or a pivot looks
 //! numerically unstable (see [`crate::revised`] for the policy).
+//!
+//! A factorization is refactorized in place (`refactor`):
+//! the triangular columns, coupling block, eta file and every scratch
+//! buffer live in flat vectors that keep their capacity, so a long-lived
+//! engine factorizes and solves without touching the allocator once its
+//! buffers have grown to the basis size.
 
 /// A pivot too small to divide by — the basis is numerically singular.
 const SINGULAR_EPS: f64 = 1e-10;
@@ -28,24 +34,37 @@ const ETA_DROP_EPS: f64 = 1e-12;
 /// One product-form update: basis slot `slot` was replaced by a column
 /// whose basis-space image (`B⁻¹·a`) was `w`. Applying the inverse eta
 /// to a vector costs `O(nnz(w))`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Eta {
     /// Basis slot whose column was replaced.
     slot: usize,
-    /// Off-diagonal entries of `w` as `(slot, value)` pairs.
-    vals: Vec<(usize, f64)>,
+    /// Off-diagonal entries of `w`, as `(slot, value)` pairs, are
+    /// `eta_vals[start..end]`.
+    start: usize,
+    end: usize,
     /// `w[slot]` — the pivot element; guaranteed away from zero.
     diag: f64,
 }
 
-/// Sparse upper-triangular column from the forward-triangularization pass.
-#[derive(Debug, Clone)]
-struct TriCol {
-    /// Diagonal (pivot) value.
-    diag: f64,
-    /// Entries above the diagonal as `(permuted position, value)`,
-    /// every position strictly smaller than this column's own.
-    above: Vec<(usize, f64)>,
+/// Working storage of a factorization that does not outlive it.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// How many entries each column has in still-active rows.
+    count: Vec<usize>,
+    /// Which slots touch each row, for count maintenance:
+    /// `row_cols[row_ptr[r]..row_ptr[r + 1]]`, in slot order.
+    row_ptr: Vec<usize>,
+    row_cols: Vec<usize>,
+    /// Singleton columns waiting to pivot.
+    queue: Vec<usize>,
+    /// `(slot, row)` pivots of the triangular block, in pivot order.
+    pivots: Vec<(usize, usize)>,
+    /// Original row → permuted position.
+    row_pos: Vec<usize>,
+    /// The permuted vector FTRAN and BTRAN work on.
+    work: Vec<f64>,
 }
 
 /// LU factorization of an `m × m` simplex basis, plus the eta file of
@@ -56,7 +75,10 @@ struct TriCol {
 /// in the ordered list of basic columns, the space of basic solutions).
 /// [`ftran`](Self::ftran) maps row space → slot space (`B·z = b`);
 /// [`btran`](Self::btran) maps slot space → row space (`Bᵀ·y = c_B`).
-#[derive(Debug, Clone)]
+///
+/// [`Default`] is the empty, unfactorized state that the solver's
+/// in-place refactorization fills.
+#[derive(Debug, Clone, Default)]
 pub struct BasisFactorization {
     m: usize,
     /// Size of the triangular block.
@@ -65,11 +87,17 @@ pub struct BasisFactorization {
     row_of: Vec<usize>,
     /// Permuted position `k` ↔ basis slot `col_of[k]`.
     col_of: Vec<usize>,
-    /// Triangular columns, one per position `k < t`.
-    tri: Vec<TriCol>,
-    /// For each bump column `k ≥ t`: its entries in triangular rows,
-    /// as `(permuted position < t, value)`.
-    u12: Vec<Vec<(usize, f64)>>,
+    /// Diagonal (pivot) value of triangular column `k < t`.
+    tri_diag: Vec<f64>,
+    /// Entries above the diagonal of triangular column `k`, as
+    /// `(permuted position, value)` with every position strictly smaller
+    /// than `k`, are `tri_above[tri_ptr[k]..tri_ptr[k + 1]]`.
+    tri_ptr: Vec<usize>,
+    tri_above: Vec<(usize, f64)>,
+    /// Entries of bump column `t + j` in triangular rows, as
+    /// `(permuted position < t, value)`, are `u12[u12_ptr[j]..u12_ptr[j + 1]]`.
+    u12_ptr: Vec<usize>,
+    u12: Vec<(usize, f64)>,
     /// Dense `nb × nb` bump block, row-major, LU-decomposed in place.
     bump: Vec<f64>,
     /// Bump dimension.
@@ -78,6 +106,8 @@ pub struct BasisFactorization {
     ipiv: Vec<usize>,
     /// Product-form updates since factorization, oldest first.
     etas: Vec<Eta>,
+    eta_vals: Vec<(usize, f64)>,
+    scratch: Scratch,
 }
 
 impl BasisFactorization {
@@ -86,26 +116,60 @@ impl BasisFactorization {
     /// Returns `None` when the basis is numerically singular.
     pub fn factor(m: usize, cols: &[Vec<(usize, f64)>]) -> Option<Self> {
         debug_assert_eq!(cols.len(), m);
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        // How many entries each column has in still-active rows.
-        let mut count: Vec<usize> = cols.iter().map(Vec::len).collect();
-        // Which columns touch each row, for count maintenance.
-        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (s, col) in cols.iter().enumerate() {
-            for &(r, _) in col {
+        let mut f = Self::default();
+        f.refactor(m, |s| cols[s].iter().copied()).then_some(f)
+    }
+
+    /// Refactorizes in place from scratch: the basis is `m × m` and
+    /// `col(s)` yields the `(row, value)` entries of the column in slot
+    /// `s`. Clears the eta file. Returns `false` when the basis is
+    /// numerically singular; the factorization must then not be used
+    /// until a later refactorization succeeds.
+    pub(crate) fn refactor<I>(&mut self, m: usize, col: impl Fn(usize) -> I) -> bool
+    where
+        I: Iterator<Item = (usize, f64)>,
+    {
+        self.m = m;
+        self.etas.clear();
+        self.eta_vals.clear();
+        let s = &mut self.scratch;
+        s.row_active.clear();
+        s.row_active.resize(m, true);
+        s.col_active.clear();
+        s.col_active.resize(m, true);
+        s.count.clear();
+        s.count.extend((0..m).map(|j| col(j).count()));
+        // Row → slot incidence in slot order, by counting sort.
+        s.row_ptr.clear();
+        s.row_ptr.resize(m + 1, 0);
+        for j in 0..m {
+            for (r, _) in col(j) {
                 debug_assert!(r < m);
-                row_cols[r].push(s);
+                s.row_ptr[r + 1] += 1;
+            }
+        }
+        for r in 0..m {
+            s.row_ptr[r + 1] += s.row_ptr[r];
+        }
+        s.row_cols.clear();
+        s.row_cols.resize(s.row_ptr[m], 0);
+        s.row_pos.clear();
+        s.row_pos.extend_from_slice(&s.row_ptr[..m]); // fill cursors
+        for j in 0..m {
+            for (r, _) in col(j) {
+                s.row_cols[s.row_pos[r]] = j;
+                s.row_pos[r] += 1;
             }
         }
         // Seed the singleton queue in slot order for determinism.
-        let mut queue: Vec<usize> = (0..m).filter(|&s| count[s] == 1).collect();
-        let mut pivots: Vec<(usize, usize)> = Vec::new(); // (slot, row)
-        while let Some(s) = queue.pop() {
-            if !col_active[s] || count[s] != 1 {
+        s.queue.clear();
+        s.queue.extend((0..m).filter(|&j| s.count[j] == 1));
+        s.pivots.clear();
+        while let Some(sl) = s.queue.pop() {
+            if !s.col_active[sl] || s.count[sl] != 1 {
                 continue;
             }
-            let Some(&(r, v)) = cols[s].iter().find(|&&(r, _)| row_active[r]) else {
+            let Some((r, v)) = col(sl).find(|&(r, _)| s.row_active[r]) else {
                 continue;
             };
             if v.abs() <= SINGULAR_EPS {
@@ -114,81 +178,90 @@ impl BasisFactorization {
                 // the queue (pushes happen only on a transition to 1).
                 continue;
             }
-            pivots.push((s, r));
-            col_active[s] = false;
-            row_active[r] = false;
-            for &s2 in &row_cols[r] {
-                if col_active[s2] {
-                    count[s2] -= 1;
-                    if count[s2] == 1 {
-                        queue.push(s2);
+            s.pivots.push((sl, r));
+            s.col_active[sl] = false;
+            s.row_active[r] = false;
+            for &s2 in &s.row_cols[s.row_ptr[r]..s.row_ptr[r + 1]] {
+                if s.col_active[s2] {
+                    s.count[s2] -= 1;
+                    if s.count[s2] == 1 {
+                        s.queue.push(s2);
                     }
                 }
             }
         }
 
-        let t = pivots.len();
-        let mut row_of = Vec::with_capacity(m);
-        let mut col_of = Vec::with_capacity(m);
-        for &(s, r) in &pivots {
-            col_of.push(s);
-            row_of.push(r);
+        let t = s.pivots.len();
+        self.row_of.clear();
+        self.col_of.clear();
+        for &(sl, r) in &s.pivots {
+            self.col_of.push(sl);
+            self.row_of.push(r);
         }
         // Remaining rows/columns become the bump, in index order.
-        for (r, &active) in row_active.iter().enumerate() {
+        for (r, &active) in s.row_active.iter().enumerate() {
             if active {
-                row_of.push(r);
+                self.row_of.push(r);
             }
         }
-        for (s, &active) in col_active.iter().enumerate() {
+        for (sl, &active) in s.col_active.iter().enumerate() {
             if active {
-                col_of.push(s);
+                self.col_of.push(sl);
             }
         }
-        debug_assert_eq!(row_of.len(), m);
-        debug_assert_eq!(col_of.len(), m);
+        debug_assert_eq!(self.row_of.len(), m);
+        debug_assert_eq!(self.col_of.len(), m);
         let nb = m - t;
-        let mut row_pos = vec![0usize; m];
-        for (k, &r) in row_of.iter().enumerate() {
-            row_pos[r] = k;
+        self.t = t;
+        self.nb = nb;
+        for (k, &r) in self.row_of.iter().enumerate() {
+            s.row_pos[r] = k;
         }
 
         // Triangular columns: by construction every non-pivot entry of
         // column `col_of[k]` (k < t) lies in a row pivoted earlier.
-        let mut tri = Vec::with_capacity(t);
-        for (k, &(s, r)) in pivots.iter().enumerate() {
+        self.tri_diag.clear();
+        self.tri_ptr.clear();
+        self.tri_above.clear();
+        self.tri_ptr.push(0);
+        for (k, &(sl, r)) in s.pivots.iter().enumerate() {
             let mut diag = 0.0;
-            let mut above = Vec::new();
-            for &(row, v) in &cols[s] {
+            for (row, v) in col(sl) {
                 if row == r {
                     diag = v;
                 } else {
-                    let p = row_pos[row];
+                    let p = s.row_pos[row];
                     debug_assert!(p < k, "triangularization produced fill below the diagonal");
-                    above.push((p, v));
+                    self.tri_above.push((p, v));
                 }
             }
-            tri.push(TriCol { diag, above });
+            self.tri_diag.push(diag);
+            self.tri_ptr.push(self.tri_above.len());
         }
 
         // Bump columns: split entries into the triangular coupling block
         // (U12) and the dense bump itself.
-        let mut u12 = vec![Vec::new(); nb];
-        let mut bump = vec![0.0; nb * nb];
+        self.u12_ptr.clear();
+        self.u12.clear();
+        self.u12_ptr.push(0);
+        self.bump.clear();
+        self.bump.resize(nb * nb, 0.0);
         for k in t..m {
-            let s = col_of[k];
-            for &(row, v) in &cols[s] {
-                let p = row_pos[row];
+            for (row, v) in col(self.col_of[k]) {
+                let p = s.row_pos[row];
                 if p < t {
-                    u12[k - t].push((p, v));
+                    self.u12.push((p, v));
                 } else {
-                    bump[(p - t) * nb + (k - t)] = v;
+                    self.bump[(p - t) * nb + (k - t)] = v;
                 }
             }
+            self.u12_ptr.push(self.u12.len());
         }
 
         // Dense partial-pivoting LU on the bump, in place.
-        let mut ipiv = vec![0usize; nb];
+        let bump = &mut self.bump;
+        self.ipiv.clear();
+        self.ipiv.resize(nb, 0);
         for k in 0..nb {
             let mut best = k;
             let mut best_abs = bump[k * nb + k].abs();
@@ -200,9 +273,9 @@ impl BasisFactorization {
                 }
             }
             if best_abs <= SINGULAR_EPS {
-                return None;
+                return false;
             }
-            ipiv[k] = best;
+            self.ipiv[k] = best;
             if best != k {
                 for j in 0..nb {
                     bump.swap(k * nb + j, best * nb + j);
@@ -219,19 +292,7 @@ impl BasisFactorization {
                 }
             }
         }
-
-        Some(Self {
-            m,
-            t,
-            row_of,
-            col_of,
-            tri,
-            u12,
-            bump,
-            nb,
-            ipiv,
-            etas: Vec::new(),
-        })
+        true
     }
 
     /// Basis dimension.
@@ -252,13 +313,13 @@ impl BasisFactorization {
 
     /// Solves `B·z = b`. On input `x` is row-indexed (`b`); on output it
     /// is slot-indexed (`z`, the basic components).
-    pub fn ftran(&self, x: &mut [f64]) {
+    pub fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         self.solve_base(x);
         for eta in &self.etas {
             let zr = x[eta.slot] / eta.diag;
             if zr != 0.0 {
-                for &(i, v) in &eta.vals {
+                for &(i, v) in &self.eta_vals[eta.start..eta.end] {
                     x[i] -= v * zr;
                 }
             }
@@ -268,11 +329,11 @@ impl BasisFactorization {
 
     /// Solves `Bᵀ·y = c`. On input `x` is slot-indexed (`c_B`); on
     /// output it is row-indexed (`y`, the dual values).
-    pub fn btran(&self, x: &mut [f64]) {
+    pub fn btran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for eta in self.etas.iter().rev() {
             let mut acc = x[eta.slot];
-            for &(i, v) in &eta.vals {
+            for &(i, v) in &self.eta_vals[eta.start..eta.end] {
                 acc -= x[i] * v;
             }
             x[eta.slot] = acc / eta.diag;
@@ -291,13 +352,19 @@ impl BasisFactorization {
         if diag.abs() <= SINGULAR_EPS {
             return false;
         }
-        let vals: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != slot && v.abs() > ETA_DROP_EPS)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { slot, vals, diag });
+        let start = self.eta_vals.len();
+        self.eta_vals.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != slot && v.abs() > ETA_DROP_EPS)
+                .map(|(i, &v)| (i, v)),
+        );
+        self.etas.push(Eta {
+            slot,
+            start,
+            end: self.eta_vals.len(),
+            diag,
+        });
         true
     }
 
@@ -306,10 +373,12 @@ impl BasisFactorization {
     // Index loops mirror the textbook LU recurrences over the row-major
     // `bump` (stride arithmetic an iterator form would bury).
     #[allow(clippy::needless_range_loop)]
-    fn solve_base(&self, x: &mut [f64]) {
+    fn solve_base(&mut self, x: &mut [f64]) {
         let m = self.m;
         let (t, nb) = (self.t, self.nb);
-        let mut p = vec![0.0; m];
+        let p = &mut self.scratch.work;
+        p.clear();
+        p.resize(m, 0.0);
         for (k, &r) in self.row_of.iter().enumerate() {
             p[k] = x[r];
         }
@@ -336,10 +405,10 @@ impl BasisFactorization {
             }
             // Substitute the coupling block U12·z₂ out of the
             // triangular right-hand side.
-            for (j, col) in self.u12.iter().enumerate() {
+            for j in 0..nb {
                 let zj = p[t + j];
                 if zj != 0.0 {
-                    for &(i, v) in col {
+                    for &(i, v) in &self.u12[self.u12_ptr[j]..self.u12_ptr[j + 1]] {
                         p[i] -= v * zj;
                     }
                 }
@@ -347,10 +416,10 @@ impl BasisFactorization {
         }
         // Triangular back-substitution (positions t-1 .. 0).
         for k in (0..t).rev() {
-            let zk = p[k] / self.tri[k].diag;
+            let zk = p[k] / self.tri_diag[k];
             p[k] = zk;
             if zk != 0.0 {
-                for &(i, v) in &self.tri[k].above {
+                for &(i, v) in &self.tri_above[self.tri_ptr[k]..self.tri_ptr[k + 1]] {
                     p[i] -= v * zk;
                 }
             }
@@ -364,26 +433,28 @@ impl BasisFactorization {
     /// `B₀ᵀ·y = c` (no etas): permute by slot, forward-solve U11ᵀ,
     /// solve the bump transpose, emit by row.
     #[allow(clippy::needless_range_loop)] // see solve_base
-    fn solve_base_transpose(&self, x: &mut [f64]) {
+    fn solve_base_transpose(&mut self, x: &mut [f64]) {
         let m = self.m;
         let (t, nb) = (self.t, self.nb);
-        let mut p = vec![0.0; m];
+        let p = &mut self.scratch.work;
+        p.clear();
+        p.resize(m, 0.0);
         for (k, &s) in self.col_of.iter().enumerate() {
             p[k] = x[s];
         }
         // U11ᵀ is lower triangular: forward substitution.
         for k in 0..t {
             let mut acc = p[k];
-            for &(i, v) in &self.tri[k].above {
+            for &(i, v) in &self.tri_above[self.tri_ptr[k]..self.tri_ptr[k + 1]] {
                 acc -= v * p[i];
             }
-            p[k] = acc / self.tri[k].diag;
+            p[k] = acc / self.tri_diag[k];
         }
         if nb > 0 {
             // Couple the solved triangular part into the bump RHS.
-            for (j, col) in self.u12.iter().enumerate() {
+            for j in 0..nb {
                 let mut acc = p[t + j];
-                for &(i, v) in col {
+                for &(i, v) in &self.u12[self.u12_ptr[j]..self.u12_ptr[j + 1]] {
                     acc -= v * p[i];
                 }
                 p[t + j] = acc;
@@ -447,7 +518,7 @@ mod tests {
     }
 
     fn check_roundtrip(m: usize, cols: &[Vec<(usize, f64)>]) {
-        let f = BasisFactorization::factor(m, cols).expect("nonsingular");
+        let mut f = BasisFactorization::factor(m, cols).expect("nonsingular");
         let mut rng = Rng(42);
         let z_true: Vec<f64> = (0..m).map(|_| rng.next_f64() * 4.0 - 2.0).collect();
         // FTRAN: b = B z  ⇒  ftran(b) == z.
@@ -524,7 +595,7 @@ mod tests {
 
     #[test]
     fn zero_dimensional_basis() {
-        let f = BasisFactorization::factor(0, &[]).expect("empty basis is trivially factored");
+        let mut f = BasisFactorization::factor(0, &[]).expect("empty basis is trivially factored");
         assert_eq!(f.dim(), 0);
         f.ftran(&mut []);
         f.btran(&mut []);
@@ -550,7 +621,7 @@ mod tests {
         assert!(f.push_eta(1, &w));
         assert_eq!(f.eta_count(), 1);
         cols[1] = newcol;
-        let fresh = BasisFactorization::factor(3, &cols).expect("nonsingular");
+        let mut fresh = BasisFactorization::factor(3, &cols).expect("nonsingular");
         let mut rng = Rng(99);
         for _ in 0..5 {
             let b: Vec<f64> = (0..3).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
@@ -566,6 +637,55 @@ mod tests {
             for (a, e) in y1.iter().zip(&y2) {
                 assert!((a - e).abs() < 1e-9, "eta btran mismatch: {a} vs {e}");
             }
+        }
+    }
+
+    #[test]
+    fn refactor_in_place_matches_a_fresh_factorization_bitwise() {
+        // One factorization object reused across bases of different
+        // sizes, with etas and a failed (singular) refactor in between,
+        // must solve exactly like a fresh factorization of each basis.
+        let bases: Vec<Vec<Vec<(usize, f64)>>> = vec![
+            vec![
+                vec![(0, 2.0), (1, 1.0)],
+                vec![(0, 1.0), (1, 3.0), (2, -1.0)],
+                vec![(1, 0.5), (2, 4.0)],
+            ],
+            vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]],
+            vec![
+                vec![(0, 1.0)],
+                vec![(1, 2.0), (0, 1.0), (3, 0.25)],
+                vec![(2, 1.0)],
+                vec![(3, 1.0), (2, -3.0)],
+            ],
+        ];
+        let mut reused = BasisFactorization::default();
+        let mut rng = Rng(5);
+        for cols in &bases {
+            let m = cols.len();
+            let ok = reused.refactor(m, |s| cols[s].iter().copied());
+            let Some(mut fresh) = BasisFactorization::factor(m, cols) else {
+                assert!(!ok, "singular basis must fail in place too");
+                continue;
+            };
+            assert!(ok);
+            assert_eq!(reused.eta_count(), 0, "refactor clears the eta file");
+            assert_eq!(reused.bump_dim(), fresh.bump_dim());
+            let b: Vec<f64> = (0..m).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
+            let (mut z1, mut z2) = (b.clone(), b.clone());
+            reused.ftran(&mut z1);
+            fresh.ftran(&mut z2);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&z1), bits(&z2));
+            let (mut y1, mut y2) = (b.clone(), b);
+            reused.btran(&mut y1);
+            fresh.btran(&mut y2);
+            assert_eq!(bits(&y1), bits(&y2));
+            // Leave an eta behind for the next refactor to discard.
+            let mut w = vec![0.0; m];
+            w[0] = 1.0;
+            reused.ftran(&mut w);
+            assert!(reused.push_eta(0, &w));
         }
     }
 

@@ -10,7 +10,10 @@
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
-use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedStats};
+use crate::presolve::PropRows;
+use crate::revised::{
+    BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedStats, SimplexWorkspace,
+};
 use crate::simplex::LpSolver;
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
 use crate::INT_TOL;
@@ -186,6 +189,68 @@ struct NodeSol {
     basis: Option<BasisState>,
 }
 
+/// Solver state one model structure keeps between solves: the revised
+/// engine (standard form and CSC matrix), its simplex workspace and the
+/// root propagation rows. Each part is built by the first solve that
+/// needs it. [`crate::IncrementalModel`] owns one for its whole life and
+/// patches it alongside the model's values; [`MipSolver::solve`] runs
+/// the same code with a temporary one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LpState {
+    engine: Option<RevisedEngine>,
+    ws: SimplexWorkspace,
+    prop: Option<PropRows>,
+}
+
+impl LpState {
+    /// Mirrors a model RHS edit of row `row`.
+    pub(crate) fn set_rhs(&mut self, row: usize, rhs: f64) {
+        if let Some(e) = &mut self.engine {
+            e.set_rhs(row, rhs);
+        }
+    }
+
+    /// Mirrors a model coefficient edit of `v` in row `row`, which
+    /// `model` already holds. When the row has one term on `v`, the
+    /// engine's entry becomes that coefficient, as [`RevisedEngine::new`]
+    /// would store it. The engine is dropped, to be rebuilt (and counted)
+    /// by the next solve, when the edit moves the entry from zero to
+    /// nonzero or back (a sparsity change) or the row repeats `v` (the
+    /// engine stores the terms' sum).
+    pub(crate) fn set_coeff(&mut self, model: &Model, row: usize, v: VarId) {
+        if let Some(e) = &mut self.engine {
+            let mut on_v = model.constraints()[row].terms.iter().filter(|t| t.0 == v);
+            let patched = match (on_v.next(), on_v.next()) {
+                (Some(&(_, c)), None) => e.set_coeff(row, v.index(), c),
+                _ => false,
+            };
+            if !patched {
+                self.engine = None;
+            }
+        }
+    }
+
+    /// Drops the engine after an objective edit; the next solve rebuilds
+    /// it.
+    pub(crate) fn invalidate_engine(&mut self) {
+        self.engine = None;
+    }
+
+    /// The engine for `model`, built (and counted) if absent, with its
+    /// workspace.
+    fn engine(
+        &mut self,
+        model: &Model,
+        trace: &mut SolveTrace,
+    ) -> (&mut RevisedEngine, &mut SimplexWorkspace) {
+        let engine = self.engine.get_or_insert_with(|| {
+            trace.engine_builds += 1;
+            RevisedEngine::new(model, RevisedOptions::default())
+        });
+        (engine, &mut self.ws)
+    }
+}
+
 /// Per-search LP backend: the sparse revised simplex with warm starts,
 /// falling back to the dense two-phase solver per node on numerical
 /// trouble or iteration limits, or for the whole search when the model
@@ -193,30 +258,47 @@ struct NodeSol {
 ///
 /// The fallback chain per node is `warm → cold → dense`; every rung is
 /// a complete, independent solve of the same relaxation, so a fallback
-/// costs time but never changes the answer.
+/// costs time but never changes the answer. Each dense rung is counted
+/// in the trace ([`SolveTrace::dense_fallbacks`],
+/// [`SolveTrace::cold_unstartable`]).
 struct NodeLp<'a> {
     solver: &'a MipSolver,
-    engine: Option<RevisedEngine>,
-    /// Dense-fallback clone whose bounds are overwritten per node.
-    work: Model,
+    /// The revised engine and its workspace; `None` when the search runs
+    /// dense.
+    engine: Option<(&'a mut RevisedEngine, &'a mut SimplexWorkspace)>,
+    /// Dense-fallback clone whose bounds are overwritten per node, made
+    /// by the first node that falls back.
+    work: Option<Model>,
 }
 
 impl<'a> NodeLp<'a> {
-    /// Builds the backend. Revised-startability is decided once, here,
-    /// with the root bounds: children only tighten bounds, which can
-    /// never turn a startable model unstartable.
-    fn new(solver: &'a MipSolver, model: &Model, root_bounds: &[(f64, f64)]) -> Self {
+    /// Prepares the backend from `state`, building the engine if the
+    /// state has none. Revised-startability is decided once, here, with
+    /// the root bounds: children only tighten bounds, which can never
+    /// turn a startable model unstartable.
+    fn new(
+        solver: &'a MipSolver,
+        model: &Model,
+        root_bounds: &[(f64, f64)],
+        state: &'a mut LpState,
+        trace: &mut SolveTrace,
+    ) -> Self {
         let engine = if solver.revised {
-            let mut e = RevisedEngine::new(model, RevisedOptions::default());
+            let (e, ws) = state.engine(model, trace);
             e.set_var_bounds(root_bounds);
-            e.cold_startable().then_some(e)
+            if e.cold_startable() {
+                Some((e, ws))
+            } else {
+                trace.cold_unstartable += 1;
+                None
+            }
         } else {
             None
         };
         Self {
             solver,
             engine,
-            work: model.clone(),
+            work: None,
         }
     }
 
@@ -246,12 +328,12 @@ impl<'a> NodeLp<'a> {
     ) -> Result<NodeSol, SolveError> {
         let mut iterations = 0usize;
         let mut degenerate = 0usize;
-        if let Some(engine) = &mut self.engine {
+        if let Some((engine, ws)) = &mut self.engine {
             engine.set_var_bounds(bounds);
             let warm = if self.solver.warm_start { basis } else { None };
             let mut result = match warm {
-                Some(w) if verify_warm => engine.solve_warm_verified(w),
-                _ => engine.solve(warm),
+                Some(w) if verify_warm => engine.solve_warm_verified_in(ws, w),
+                _ => engine.solve_in(ws, warm),
             };
             if warm.is_some() {
                 match &result {
@@ -262,7 +344,7 @@ impl<'a> NodeLp<'a> {
                         Self::absorb(trace, stats);
                         iterations += stats.iterations;
                         degenerate += stats.degenerate;
-                        result = engine.solve(None);
+                        result = engine.solve_in(ws, None);
                     }
                     Err(RevisedError::IterationLimit { .. }) => {}
                 }
@@ -290,13 +372,15 @@ impl<'a> NodeLp<'a> {
                     Self::absorb(trace, &stats);
                     iterations += stats.iterations;
                     degenerate += stats.degenerate;
+                    trace.dense_fallbacks += 1;
                 }
             }
         }
+        let work = self.work.get_or_insert_with(|| model.clone());
         for (i, &(lb, ub)) in bounds.iter().enumerate() {
-            self.work.set_var_bounds(VarId(i), lb, ub);
+            work.set_var_bounds(VarId(i), lb, ub);
         }
-        let s = self.solver.lp.solve(&self.work)?;
+        let s = self.solver.lp.solve(work)?;
         Ok(NodeSol {
             values: s.values,
             objective: s.objective,
@@ -335,7 +419,8 @@ impl MipSolver {
     /// Like [`solve`](Self::solve), but warm-starts the *root* relaxation
     /// from a basis carried over from a previous solve and returns this
     /// solve's root-optimal basis for the next one — the cross-solve
-    /// warm-start loop behind [`crate::incremental::IncrementalSolver`].
+    /// warm-start loop that [`crate::incremental::IncrementalSolver`]
+    /// runs on a retained model.
     ///
     /// The supplied basis is for the same constraint/variable *structure*
     /// with possibly different coefficient *values* (RHS, objective,
@@ -355,9 +440,24 @@ impl MipSolver {
         root_basis: Option<&BasisState>,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
         model.validate()?;
+        self.solve_in(model, &mut LpState::default(), root_basis)
+    }
+
+    /// The solve behind [`solve_with_root_basis`](Self::solve_with_root_basis),
+    /// on solver state `state` built for `model`'s structure (or empty).
+    /// `model` must be valid: the public entry validates it, and
+    /// [`crate::IncrementalModel`] keeps its model valid through every
+    /// edit.
+    pub(crate) fn solve_in(
+        &self,
+        model: &Model,
+        state: &mut LpState,
+        root_basis: Option<&BasisState>,
+    ) -> Result<(Solution, Option<BasisState>), SolveError> {
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            let (mut sol, basis) = self.solve_pure_lp_warm(model, root_basis)?;
+            let mut trace = SolveTrace::default();
+            let (mut sol, basis) = self.solve_pure_lp_warm(model, state, root_basis, &mut trace)?;
             sol.mip = Some(MipStats {
                 nodes: 1,
                 lp_iterations: sol.iterations,
@@ -365,7 +465,7 @@ impl MipSolver {
                 gap: 0.0,
                 trace: SolveTrace {
                     degenerate_pivots: sol.degenerate,
-                    ..SolveTrace::default()
+                    ..trace
                 },
             });
             record_obs(sol.mip.as_ref().expect("just set")); // repolint-allow(unwrap): set two lines above
@@ -403,8 +503,10 @@ impl MipSolver {
         // integer-feasible point is cut; a propagation-time infeasibility
         // proof short-circuits the whole search.
         if self.root_propagation {
-            let prop = crate::presolve::propagate_bounds(model)?;
-            for (rb, &(pl, pu)) in root_bounds.iter_mut().zip(&prop.bounds) {
+            let prop = state.prop.get_or_insert_with(|| PropRows::new(model));
+            prop.refresh(model);
+            prop.run(model.variables().iter().map(|v| (v.lb, v.ub)))?;
+            for (rb, (&pl, &pu)) in root_bounds.iter_mut().zip(prop.lb.iter().zip(&prop.ub)) {
                 rb.0 = rb.0.max(pl);
                 rb.1 = rb.1.min(pu);
                 if rb.0 > rb.1 {
@@ -421,7 +523,8 @@ impl MipSolver {
                 .map(|sol| (sol, None));
         }
 
-        let mut node_lp = NodeLp::new(self, model, &root_bounds);
+        let mut trace = SolveTrace::default();
+        let mut node_lp = NodeLp::new(self, model, &root_bounds, state, &mut trace);
         let mut frontier = match self.node_selection {
             NodeSelection::BestBound => Frontier::Heap(BinaryHeap::new()),
             NodeSelection::DepthFirst => Frontier::Stack(Vec::new()),
@@ -438,7 +541,6 @@ impl MipSolver {
         let mut incumbent_key = f64::INFINITY;
         let mut nodes = 0usize;
         let mut lp_iterations = 0usize;
-        let mut trace = SolveTrace::default();
         let obs_on = billcap_obs::enabled();
         let mut mip_span = billcap_obs::span("mip");
 
@@ -603,10 +705,13 @@ impl MipSolver {
     fn solve_pure_lp_warm(
         &self,
         model: &Model,
+        state: &mut LpState,
         warm: Option<&BasisState>,
+        trace: &mut SolveTrace,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
         if self.revised {
-            let engine = RevisedEngine::new(model, RevisedOptions::default());
+            let (engine, ws) = state.engine(model, trace);
+            engine.set_var_bounds(&model.var_bounds());
             if engine.cold_startable() {
                 let from_revised = |r: crate::revised::RevisedSolution, wasted: usize| {
                     let basis = r.basis.clone();
@@ -625,20 +730,22 @@ impl MipSolver {
                 };
                 let mut wasted = 0usize;
                 if let Some(bs) = warm.filter(|_| self.warm_start) {
-                    match engine.solve_warm_verified(bs) {
+                    match engine.solve_warm_verified_in(ws, bs) {
                         Ok(r) => return Ok(from_revised(r, 0)),
                         // Dual-infeasible or numerically unusable carry-over;
                         // account for the probe and cold-start below.
                         Err(e) => wasted = e.stats().iterations,
                     }
                 }
-                match engine.solve(None) {
+                match engine.solve_in(ws, None) {
                     Ok(r) => return Ok(from_revised(r, wasted)),
                     Err(RevisedError::Infeasible { .. }) => return Err(SolveError::Infeasible),
                     // Numerical trouble or an iteration limit: the dense
                     // solve below is the authoritative answer.
-                    Err(_) => {}
+                    Err(_) => trace.dense_fallbacks += 1,
                 }
+            } else {
+                trace.cold_unstartable += 1;
             }
         }
         self.lp.solve(model).map(|sol| (sol, None))
@@ -735,6 +842,15 @@ pub(crate) fn record_obs(stats: &MipStats) {
     );
     billcap_obs::counter("milp.lp.bound_flips", stats.trace.bound_flips as u64);
     billcap_obs::counter("milp.lp.warm_starts", stats.trace.warm_starts as u64);
+    billcap_obs::counter("milp.lp.engine_builds", stats.trace.engine_builds as u64);
+    billcap_obs::counter(
+        "milp.lp.dense_fallbacks",
+        stats.trace.dense_fallbacks as u64,
+    );
+    billcap_obs::counter(
+        "milp.lp.cold_unstartable",
+        stats.trace.cold_unstartable as u64,
+    );
 }
 
 /// Completes a solve's `mip` span: attaches the headline counters as

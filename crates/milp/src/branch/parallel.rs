@@ -246,7 +246,14 @@ impl Shared<'_> {
     fn worker_loop(&self, w: usize, trace: &mut SolveTrace) {
         // Worker-local LP backend (revised engine + dense-fallback model
         // clone), so node solves never contend.
-        let mut node_lp = super::NodeLp::new(self.solver, self.model, &self.root_bounds);
+        let mut state = super::LpState::default();
+        let mut node_lp = super::NodeLp::new(
+            self.solver,
+            self.model,
+            &self.root_bounds,
+            &mut state,
+            trace,
+        );
         let obs_on = billcap_obs::enabled();
         loop {
             let (node, depth_seen) = {

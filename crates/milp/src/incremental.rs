@@ -4,23 +4,34 @@
 //! hour: the variables, constraint rows and sparsity pattern are fixed
 //! by the data-center spec, while the numbers (demand RHS, budget RHS,
 //! level-power coefficients, prices) change with the hour. Rebuilding
-//! the [`Model`] from scratch per decision wastes most of the solve
-//! budget at bill-capping sizes; this module keeps one model alive and
-//! rewrites only values between solves.
+//! the [`Model`] and the solver's state from scratch per decision
+//! wastes most of the solve budget at bill-capping sizes; this module
+//! keeps both alive and rewrites only values between solves.
 //!
 //! Two layers:
 //!
-//! * [`IncrementalModel`] wraps a [`Model`] with a row-name index and a
+//! * [`IncrementalModel`] wraps a [`Model`] with a row-name index, a
 //!   *structural hash* — a fingerprint of everything value-only
 //!   mutation cannot change (sense, variable names/integrality,
-//!   constraint names/operators/term patterns, objective term pattern).
-//!   The mutators it exposes are exactly the value-only ones, so the
-//!   hash is computed once and stays valid for the model's lifetime.
-//! * [`IncrementalSolver`] drives [`MipSolver::solve_with_root_basis`],
-//!   optionally carrying the root relaxation's optimal basis from one
-//!   solve to the next. The basis is only replayed when the structural
-//!   hash matches the solve that produced it, and the root warm start
-//!   re-proves dual feasibility (see
+//!   constraint names/operators/term patterns, objective term pattern) —
+//!   and the solver state kept for that structure: the sparse revised
+//!   engine (standard form, CSC matrix, simplex workspace and basis
+//!   factorization buffers) and the root propagation rows, each built
+//!   by the first solve that needs it. The mutators it exposes are
+//!   exactly the value-only ones, so the hash stays valid for the
+//!   model's lifetime, and each mutator patches the retained engine in
+//!   the same call: RHS and matrix edits overwrite the engine's values
+//!   in place; an edit to or from a zero coefficient (a sparsity change
+//!   for the CSC matrix) or to the objective drops the engine, and the
+//!   next solve rebuilds it and counts the build in
+//!   [`SolveTrace::engine_builds`](crate::SolveTrace::engine_builds).
+//!   Bounds need no patch: every solve installs them afresh.
+//! * [`IncrementalSolver`] solves an [`IncrementalModel`] on its
+//!   retained state — the same code [`MipSolver::solve`] runs on a
+//!   temporary one — optionally carrying the root relaxation's optimal
+//!   basis from one solve to the next. The basis is only replayed when
+//!   the structural hash matches the solve that produced it, and the
+//!   root warm start re-proves dual feasibility (see
 //!   [`RevisedEngine::solve_warm_verified`]) — a stale or hostile basis
 //!   costs a cold start, never a wrong answer.
 //!
@@ -28,12 +39,14 @@
 //! root can terminate on a different optimal basis than a cold solve,
 //! which perturbs values in the last ulp. Callers that need decisions
 //! bitwise-identical to a fresh build (the serve daemon's differential
-//! guarantee) keep it off and still skip the model rebuild; callers
-//! that only need optimal objectives opt in for the extra speed.
+//! guarantee) keep it off and still skip the model and engine rebuilds:
+//! a patched engine holds exactly the floats a fresh build would, and
+//! its workspace is rewritten before every read. Callers that only need
+//! optimal objectives opt in for the extra speed.
 //!
 //! [`RevisedEngine::solve_warm_verified`]: crate::revised::RevisedEngine::solve_warm_verified
 
-use crate::branch::MipSolver;
+use crate::branch::{LpState, MipSolver};
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model, Sense, VarId, VarType};
 use crate::revised::BasisState;
@@ -116,17 +129,20 @@ pub fn structural_hash(model: &Model) -> u64 {
     h.0
 }
 
-/// A [`Model`] frozen in shape, open in values.
+/// A [`Model`] frozen in shape, open in values, plus the solver state
+/// kept for that shape (see the module docs).
 ///
 /// Construction validates the model and indexes constraint rows by
 /// name; afterwards only the value-only mutators are reachable, so the
 /// [`structural_hash`](Self::structural_hash) computed here never goes
-/// stale.
+/// stale, and every mutator rejects values that would make the model
+/// invalid, so solves need not validate it again.
 #[derive(Debug, Clone)]
 pub struct IncrementalModel {
     model: Model,
     rows: HashMap<String, usize>,
     hash: u64,
+    lp: LpState,
 }
 
 impl IncrementalModel {
@@ -145,7 +161,12 @@ impl IncrementalModel {
             }
         }
         let hash = structural_hash(&model);
-        Ok(Self { model, rows, hash })
+        Ok(Self {
+            model,
+            rows,
+            hash,
+            lp: LpState::default(),
+        })
     }
 
     /// The wrapped model (read-only; mutate through the methods below).
@@ -176,7 +197,9 @@ impl IncrementalModel {
             )));
         }
         let idx = self.row_index(row)?;
-        self.model.set_constraint_rhs(idx, rhs)
+        self.model.set_constraint_rhs(idx, rhs)?;
+        self.lp.set_rhs(idx, rhs);
+        Ok(())
     }
 
     /// Replaces the coefficient of `v` in the named row. The term must
@@ -188,7 +211,7 @@ impl IncrementalModel {
             )));
         }
         let idx = self.row_index(row)?;
-        self.model.set_constraint_coeff(idx, v, coeff)
+        self.patch_coeff(idx, v, coeff)
     }
 
     /// [`Self::set_coeff`] by row index (see [`Self::row`]) — the
@@ -200,7 +223,13 @@ impl IncrementalModel {
                 "non-finite coefficient {coeff} for row #{idx}"
             )));
         }
-        self.model.set_constraint_coeff(idx, v, coeff)
+        self.patch_coeff(idx, v, coeff)
+    }
+
+    fn patch_coeff(&mut self, idx: usize, v: VarId, coeff: f64) -> Result<(), SolveError> {
+        self.model.set_constraint_coeff(idx, v, coeff)?;
+        self.lp.set_coeff(&self.model, idx, v);
+        Ok(())
     }
 
     /// Replaces the objective coefficient of `v` (term must exist).
@@ -210,11 +239,13 @@ impl IncrementalModel {
                 "non-finite objective coefficient {coeff}"
             )));
         }
-        self.model.set_objective_coeff(v, coeff)
+        self.model.set_objective_coeff(v, coeff)?;
+        self.lp.invalidate_engine();
+        Ok(())
     }
 
     /// Replaces the bounds of `v`. Bounds are values, not structure:
-    /// the revised engine already treats them as per-solve state.
+    /// every solve installs them into the engine afresh.
     pub fn set_var_bounds(&mut self, v: VarId, lb: f64, ub: f64) -> Result<(), SolveError> {
         if lb.is_nan() || ub.is_nan() || lb > ub {
             return Err(SolveError::InvalidModel(format!(
@@ -230,14 +261,14 @@ impl IncrementalModel {
 /// A [`MipSolver`] plus the cross-solve warm-start state for one
 /// recurring model shape.
 ///
-/// With [`reuse_basis`](Self::reuse_basis) off (the default) this is a
-/// thin wrapper whose solves are bitwise-identical to
-/// [`MipSolver::solve`] on the same model values — the savings come
-/// purely from not rebuilding the model. With it on, each solve seeds
-/// the root relaxation from the previous solve's root-optimal basis
-/// (verified for dual feasibility, cold-started on rejection) and the
-/// optimum is unchanged, though tie-breaking among alternative optima
-/// may differ in the last ulp.
+/// With [`reuse_basis`](Self::reuse_basis) off (the default) its solves
+/// are bitwise-identical to [`MipSolver::solve`] on the same model
+/// values — the savings come from not rebuilding the model or the
+/// solver state the [`IncrementalModel`] retains. With it on, each
+/// solve seeds the root relaxation from the previous solve's
+/// root-optimal basis (verified for dual feasibility, cold-started on
+/// rejection) and the optimum is unchanged, though tie-breaking among
+/// alternative optima may differ in the last ulp.
 #[derive(Debug, Clone)]
 pub struct IncrementalSolver {
     /// The underlying branch-and-bound solver.
@@ -259,22 +290,26 @@ impl IncrementalSolver {
         }
     }
 
-    /// Solves the current values of `im`, managing the carried basis.
+    /// Solves the current values of `im` on its retained solver state,
+    /// managing the carried basis.
     ///
     /// The stored basis is replayed only when `im`'s structural hash
     /// matches the solve that produced it; on mismatch (the caller
     /// switched to a differently shaped model) it is dropped rather
     /// than risk feeding the engine a shape-incompatible status vector.
-    pub fn solve(&mut self, im: &IncrementalModel) -> Result<Solution, SolveError> {
+    pub fn solve(&mut self, im: &mut IncrementalModel) -> Result<Solution, SolveError> {
         if !self.reuse_basis {
-            return self.solver.solve(im.model());
+            return self
+                .solver
+                .solve_in(&im.model, &mut im.lp, None)
+                .map(|(sol, _)| sol);
         }
         if self.hash != Some(im.structural_hash()) {
             self.basis = None;
         }
         let (sol, basis) = self
             .solver
-            .solve_with_root_basis(im.model(), self.basis.as_ref())?;
+            .solve_in(&im.model, &mut im.lp, self.basis.as_ref())?;
         self.basis = basis;
         self.hash = Some(im.structural_hash());
         Ok(sol)
@@ -362,7 +397,7 @@ mod tests {
         let mut inc = IncrementalSolver::new(MipSolver::default());
         for rhs in [4.0, 2.5, 6.0, 1.0] {
             im.set_rhs("c1", rhs).unwrap();
-            let a = inc.solve(&im).unwrap();
+            let a = inc.solve(&mut im).unwrap();
             let mut fresh = lp();
             fresh.set_constraint_rhs(0, rhs).unwrap();
             let b = MipSolver::default().solve(&fresh).unwrap();
@@ -377,10 +412,10 @@ mod tests {
         let mut im = IncrementalModel::new(lp()).unwrap();
         let mut inc = IncrementalSolver::new(MipSolver::default());
         inc.reuse_basis = true;
-        let first = inc.solve(&im).unwrap();
+        let first = inc.solve(&mut im).unwrap();
         assert!(inc.has_basis());
         im.set_rhs("c1", 3.0).unwrap();
-        let second = inc.solve(&im).unwrap();
+        let second = inc.solve(&mut im).unwrap();
         let mut fresh = lp();
         fresh.set_constraint_rhs(0, 3.0).unwrap();
         let oracle = MipSolver::default().solve(&fresh).unwrap();

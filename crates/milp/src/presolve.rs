@@ -100,6 +100,113 @@ fn le_normalized(
     }
 }
 
+/// The `≤`-normalized rows and bound buffers of activity propagation for
+/// one model structure.
+///
+/// [`propagate_bounds_with`] builds one per call. The branch-and-bound
+/// root keeps one per retained model instead (see
+/// [`crate::IncrementalModel`]) and [`refresh`](Self::refresh)es its
+/// values in place before each solve, so propagation allocates nothing
+/// once the rows exist.
+#[derive(Debug, Clone)]
+pub(crate) struct PropRows {
+    rows: Vec<(Vec<(usize, f64)>, f64)>,
+    is_int: Vec<bool>,
+    /// Propagated lower bounds after [`run`](Self::run).
+    pub(crate) lb: Vec<f64>,
+    /// Propagated upper bounds after [`run`](Self::run).
+    pub(crate) ub: Vec<f64>,
+}
+
+impl PropRows {
+    /// Normalizes `model`'s rows.
+    pub(crate) fn new(model: &Model) -> Self {
+        let mut rows = Vec::with_capacity(model.num_constraints());
+        for c in model.constraints() {
+            let terms: Vec<(usize, f64)> = c.terms.iter().map(|&(v, co)| (v.index(), co)).collect();
+            le_normalized(&mut rows, &terms, c.op, c.rhs);
+        }
+        let is_int = model
+            .variables()
+            .iter()
+            .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary))
+            .collect();
+        Self {
+            rows,
+            is_int,
+            lb: Vec::new(),
+            ub: Vec::new(),
+        }
+    }
+
+    /// Rewrites every row's coefficients and right-hand side from
+    /// `model`'s current values, exactly as [`PropRows::new`] would
+    /// normalize them. `model` must have the structure the rows were
+    /// built from.
+    pub(crate) fn refresh(&mut self, model: &Model) {
+        // One `(constraint, negated)` pair per normalized row, in
+        // `le_normalized`'s order.
+        let normalized = model.constraints().iter().flat_map(|c| {
+            let negate: &[bool] = match c.op {
+                ConstraintOp::Le => &[false],
+                ConstraintOp::Ge => &[true],
+                ConstraintOp::Eq => &[false, true],
+            };
+            negate.iter().map(move |&neg| (c, neg))
+        });
+        for ((terms, rhs), (c, neg)) in self.rows.iter_mut().zip(normalized) {
+            for (t, &(_, co)) in terms.iter_mut().zip(&c.terms) {
+                t.1 = if neg { -co } else { co };
+            }
+            *rhs = if neg { -c.rhs } else { c.rhs };
+        }
+    }
+
+    /// Propagates from the starting box `bounds` (one `(lb, ub)` per
+    /// variable) to a fixpoint or the round cap, leaving the result in
+    /// [`lb`](Self::lb) and [`ub`](Self::ub). Returns the tightenings
+    /// applied and the sweeps run, or [`SolveError::Infeasible`] when a
+    /// domain empties.
+    pub(crate) fn run(
+        &mut self,
+        bounds: impl Iterator<Item = (f64, f64)>,
+    ) -> Result<(usize, usize), SolveError> {
+        let Self {
+            rows,
+            is_int,
+            lb,
+            ub,
+        } = self;
+        lb.clear();
+        ub.clear();
+        for (l, u) in bounds {
+            lb.push(l);
+            ub.push(u);
+        }
+        debug_assert_eq!(lb.len(), is_int.len());
+        // Integer bounds rounded inward first (not counted as tightenings).
+        for j in 0..lb.len() {
+            if is_int[j] {
+                if lb[j].is_finite() {
+                    lb[j] = (lb[j] - INT_TOL).ceil();
+                }
+                if ub[j].is_finite() {
+                    ub[j] = (ub[j] + INT_TOL).floor();
+                }
+                if lb[j] > ub[j] {
+                    return Err(SolveError::Infeasible);
+                }
+            }
+        }
+        let mut tightened = 0usize;
+        let mut rounds = 0usize;
+        while rounds < PROP_MAX_ROUNDS && propagate_pass(rows, lb, ub, is_int, &mut tightened)? {
+            rounds += 1;
+        }
+        Ok((tightened, rounds))
+    }
+}
+
 /// One propagation sweep: for every `≤`-row, the row's minimum activity
 /// with one variable removed bounds that variable. Returns whether any
 /// bound was tightened; `Err(Infeasible)` when a variable's domain
@@ -218,41 +325,10 @@ pub fn propagate_bounds_with(
 ) -> Result<Propagation, SolveError> {
     model.validate()?;
     debug_assert_eq!(bounds.len(), model.num_vars());
-    let mut lb: Vec<f64> = bounds.iter().map(|&(l, _)| l).collect();
-    let mut ub: Vec<f64> = bounds.iter().map(|&(_, u)| u).collect();
-    let is_int: Vec<bool> = model
-        .variables()
-        .iter()
-        .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary))
-        .collect();
-    // Integer bounds rounded inward first (not counted as tightenings).
-    for j in 0..lb.len() {
-        if is_int[j] {
-            if lb[j].is_finite() {
-                lb[j] = (lb[j] - INT_TOL).ceil();
-            }
-            if ub[j].is_finite() {
-                ub[j] = (ub[j] + INT_TOL).floor();
-            }
-            if lb[j] > ub[j] {
-                return Err(SolveError::Infeasible);
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(model.num_constraints());
-    for c in model.constraints() {
-        let terms: Vec<(usize, f64)> = c.terms.iter().map(|&(v, co)| (v.index(), co)).collect();
-        le_normalized(&mut rows, &terms, c.op, c.rhs);
-    }
-    let mut tightened = 0usize;
-    let mut rounds = 0usize;
-    while rounds < PROP_MAX_ROUNDS
-        && propagate_pass(&rows, &mut lb, &mut ub, &is_int, &mut tightened)?
-    {
-        rounds += 1;
-    }
+    let mut prop = PropRows::new(model);
+    let (tightened, rounds) = prop.run(bounds.iter().copied())?;
     Ok(Propagation {
-        bounds: lb.into_iter().zip(ub).collect(),
+        bounds: prop.lb.into_iter().zip(prop.ub).collect(),
         tightened,
         rounds,
     })

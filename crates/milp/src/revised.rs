@@ -163,10 +163,14 @@ impl RevisedError {
 
 /// The standard-form problem plus mutable per-node bounds.
 ///
-/// Built once per model; between node solves only
-/// [`set_var_bounds`](Self::set_var_bounds) changes (branch-and-bound
+/// Built when a model structure is first solved. Between node solves
+/// only [`set_var_bounds`](Self::set_var_bounds) changes (branch-and-bound
 /// tightens bounds, never the matrix), so the CSC matrix, costs and
-/// right-hand side are shared across the whole search tree.
+/// right-hand side are shared across the whole search tree. A retained
+/// engine (see [`crate::IncrementalModel`]) also outlives the search:
+/// the model's value edits overwrite its right-hand side and stored
+/// matrix entries in place, so the next solve starts from the same
+/// standard form a fresh build would produce.
 #[derive(Debug, Clone)]
 pub struct RevisedEngine {
     /// Rows.
@@ -189,6 +193,30 @@ pub struct RevisedEngine {
     obj_sign: f64,
     /// Tuning knobs.
     opts: RevisedOptions,
+}
+
+/// Buffers one dual simplex solve works in, kept between solves so a
+/// retained engine does not reallocate them. Every buffer is fully
+/// rewritten before it is read, so nothing leaks from one solve into
+/// the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SimplexWorkspace {
+    /// Status of every standard-form column.
+    status: Vec<ColStatus>,
+    /// Basic column per slot, ascending.
+    basic: Vec<usize>,
+    /// Slot per column (`usize::MAX` when nonbasic).
+    slot_of: Vec<usize>,
+    /// Basic solution, duals, leaving row of `B⁻¹`, entering column
+    /// image — all of length `m`.
+    xb: Vec<f64>,
+    cb: Vec<f64>,
+    rho: Vec<f64>,
+    w: Vec<f64>,
+    /// Ratio-test candidates `(col, abar, ratio)` and bound flips.
+    eligible: Vec<(usize, f64, f64)>,
+    flips: Vec<usize>,
+    fact: BasisFactorization,
 }
 
 impl RevisedEngine {
@@ -254,56 +282,80 @@ impl RevisedEngine {
         }
     }
 
+    /// Overwrites row `i`'s right-hand side.
+    pub(crate) fn set_rhs(&mut self, i: usize, rhs: f64) {
+        self.b[i] = rhs;
+    }
+
+    /// Sets the matrix entry of structural column `j` in row `i` to `v`.
+    /// Returns `false` when the edit would change the sparsity pattern —
+    /// zero to nonzero or back — and the engine must be rebuilt instead.
+    pub(crate) fn set_coeff(&mut self, i: usize, j: usize, v: f64) -> bool {
+        debug_assert!(j < self.nvars);
+        self.a.set_value(i, j, v)
+    }
+
     /// Whether a dual-feasible cold-start placement exists under the
     /// current bounds. Checked once at the root: children only tighten
     /// bounds, which can never destroy startability.
     pub fn cold_startable(&self) -> bool {
-        self.cold_status().is_some()
+        (0..self.nvars).all(|j| self.cold_placement(j).is_some())
     }
 
-    /// Dual-feasibilizing nonbasic placement: each structural column
-    /// goes to a bound matching its reduced-cost sign (with an all-slack
-    /// basis, `rc = c`), every slack becomes basic.
-    fn cold_status(&self) -> Option<Vec<ColStatus>> {
-        let mut status = Vec::with_capacity(self.ncols);
-        for j in 0..self.nvars {
-            let (l, u, c) = (self.lb[j], self.ub[j], self.cost[j]);
-            let s = if c > ZTOL {
-                l.is_finite().then_some(ColStatus::Lower)?
-            } else if c < -ZTOL {
-                u.is_finite().then_some(ColStatus::Upper)?
-            } else if l.is_finite() {
-                ColStatus::Lower
-            } else if u.is_finite() {
-                ColStatus::Upper
-            } else {
-                return None;
-            };
-            status.push(s);
+    /// Dual-feasibilizing resting bound of structural column `j` under
+    /// an all-slack basis (where `rc = c`), if one exists.
+    fn cold_placement(&self, j: usize) -> Option<ColStatus> {
+        let (l, u, c) = (self.lb[j], self.ub[j], self.cost[j]);
+        if c > ZTOL {
+            l.is_finite().then_some(ColStatus::Lower)
+        } else if c < -ZTOL {
+            u.is_finite().then_some(ColStatus::Upper)
+        } else if l.is_finite() {
+            Some(ColStatus::Lower)
+        } else if u.is_finite() {
+            Some(ColStatus::Upper)
+        } else {
+            None
         }
-        status.extend(std::iter::repeat_n(ColStatus::Basic, self.m));
-        Some(status)
     }
 
-    /// Repairs a warm basis for the current bounds: a nonbasic column
-    /// whose resting bound became infinite hops to the opposite finite
-    /// bound. Under branch-and-bound this is a no-op (children only
-    /// tighten), but it keeps arbitrary warm starts sound.
-    fn repair(&self, mut status: Vec<ColStatus>) -> Option<Vec<ColStatus>> {
-        for (j, s) in status.iter_mut().enumerate() {
-            match *s {
-                ColStatus::Basic => {}
-                ColStatus::Lower if self.lb[j].is_finite() => {}
-                ColStatus::Upper if self.ub[j].is_finite() => {}
-                ColStatus::Lower => {
-                    *s = self.ub[j].is_finite().then_some(ColStatus::Upper)?;
-                }
-                ColStatus::Upper => {
-                    *s = self.lb[j].is_finite().then_some(ColStatus::Lower)?;
-                }
+    /// Writes the cold-start placement into `status`: each structural
+    /// column on its [`cold_placement`](Self::cold_placement), every
+    /// slack basic. Returns `false` when some column has none.
+    fn load_cold(&self, status: &mut Vec<ColStatus>) -> bool {
+        status.clear();
+        for j in 0..self.nvars {
+            match self.cold_placement(j) {
+                Some(s) => status.push(s),
+                None => return false,
             }
         }
-        Some(status)
+        status.extend(std::iter::repeat_n(ColStatus::Basic, self.m));
+        true
+    }
+
+    /// Copies a warm basis into `status`, repaired for the current
+    /// bounds: a nonbasic column whose resting bound became infinite
+    /// hops to the opposite finite bound. Under branch-and-bound this is
+    /// a no-op (children only tighten), but it keeps arbitrary warm
+    /// starts sound. Returns `false` when no finite bound is left.
+    fn load_repaired(&self, warm: &BasisState, status: &mut Vec<ColStatus>) -> bool {
+        status.clear();
+        status.extend_from_slice(&warm.status);
+        for (j, s) in status.iter_mut().enumerate() {
+            let repaired = match *s {
+                ColStatus::Basic => Some(ColStatus::Basic),
+                ColStatus::Lower if self.lb[j].is_finite() => Some(ColStatus::Lower),
+                ColStatus::Upper if self.ub[j].is_finite() => Some(ColStatus::Upper),
+                ColStatus::Lower => self.ub[j].is_finite().then_some(ColStatus::Upper),
+                ColStatus::Upper => self.lb[j].is_finite().then_some(ColStatus::Lower),
+            };
+            match repaired {
+                Some(r) => *s = r,
+                None => return false,
+            }
+        }
+        true
     }
 
     /// Resting value of a nonbasic column.
@@ -323,16 +375,25 @@ impl RevisedEngine {
     /// Solves the current-bounds LP. `warm` supplies a starting basis
     /// (typically the parent node's optimum); `None` cold-starts.
     pub fn solve(&self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
+        self.solve_in(&mut SimplexWorkspace::default(), warm)
+    }
+
+    /// [`solve`](Self::solve) in a caller-kept workspace.
+    pub(crate) fn solve_in(
+        &self,
+        ws: &mut SimplexWorkspace,
+        warm: Option<&BasisState>,
+    ) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
-        let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
-        let status = match warm {
-            Some(bs) if bs.status.len() == self.ncols => {
-                self.repair(bs.status.clone()).ok_or(numerical(stats))?
-            }
-            Some(_) => return Err(numerical(stats)),
-            None => self.cold_status().ok_or(numerical(stats))?,
+        let placed = match warm {
+            Some(bs) if bs.status.len() == self.ncols => self.load_repaired(bs, &mut ws.status),
+            Some(_) => false,
+            None => self.load_cold(&mut ws.status),
         };
-        self.optimize(status, &mut stats)
+        if !placed {
+            return Err(RevisedError::Numerical { stats });
+        }
+        self.optimize(ws, &mut stats)
             .map(|(values, duals, basis)| RevisedSolution {
                 values,
                 duals,
@@ -354,25 +415,40 @@ impl RevisedEngine {
     /// reports [`RevisedError::Numerical`], which warm-start callers
     /// already treat as "fall back to a cold start".
     pub fn solve_warm_verified(&self, warm: &BasisState) -> Result<RevisedSolution, RevisedError> {
+        self.solve_warm_verified_in(&mut SimplexWorkspace::default(), warm)
+    }
+
+    /// [`solve_warm_verified`](Self::solve_warm_verified) in a
+    /// caller-kept workspace.
+    pub(crate) fn solve_warm_verified_in(
+        &self,
+        ws: &mut SimplexWorkspace,
+        warm: &BasisState,
+    ) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
-        if warm.status.len() != self.ncols {
+        if warm.status.len() != self.ncols || !self.load_repaired(warm, &mut ws.status) {
             return Err(numerical(stats));
         }
-        let status = self.repair(warm.status.clone()).ok_or(numerical(stats))?;
-        let basic: Vec<usize> = (0..self.ncols)
-            .filter(|&j| status[j] == ColStatus::Basic)
-            .collect();
+        let SimplexWorkspace {
+            status,
+            basic,
+            cb: y,
+            fact,
+            ..
+        } = ws;
+        basic.clear();
+        basic.extend((0..self.ncols).filter(|&j| status[j] == ColStatus::Basic));
         if basic.len() != self.m {
             return Err(numerical(stats));
         }
-        let fact = self.factor(&basic, &mut stats).ok_or(numerical(stats))?;
-        // Candidate duals: y = B⁻ᵀ·c_B.
-        let mut y = vec![0.0; self.m];
-        for (slot, &j) in basic.iter().enumerate() {
-            y[slot] = self.cost[j];
+        if !self.factor(fact, basic, &mut stats) {
+            return Err(numerical(stats));
         }
-        fact.btran(&mut y);
+        // Candidate duals: y = B⁻ᵀ·c_B.
+        y.clear();
+        y.extend(basic.iter().map(|&j| self.cost[j]));
+        fact.btran(y);
         // Nonbasic reduced-cost signs in minimization space: a column at
         // its lower bound needs rc ≥ 0, at its upper bound rc ≤ 0. Fixed
         // columns (l == u) never enter, so their sign is irrelevant.
@@ -380,7 +456,7 @@ impl RevisedEngine {
             if s == ColStatus::Basic || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let rc = self.cost[j] - self.a.col_dot(j, &y);
+            let rc = self.cost[j] - self.a.col_dot(j, y);
             let ok = match s {
                 ColStatus::Lower => rc >= -DUAL_TOL,
                 ColStatus::Upper => rc <= DUAL_TOL,
@@ -390,7 +466,7 @@ impl RevisedEngine {
                 return Err(numerical(stats));
             }
         }
-        self.optimize(status, &mut stats)
+        self.optimize(ws, &mut stats)
             .map(|(values, duals, basis)| RevisedSolution {
                 values,
                 duals,
@@ -399,44 +475,57 @@ impl RevisedEngine {
             })
     }
 
-    /// The dual simplex loop. `status` must be dual feasible (cold
-    /// placement or an inherited optimal basis).
+    /// The dual simplex loop from the placement in `ws.status`, which
+    /// must be dual feasible (cold placement or an inherited optimal
+    /// basis).
     #[allow(clippy::type_complexity)]
     fn optimize(
         &self,
-        mut status: Vec<ColStatus>,
+        ws: &mut SimplexWorkspace,
         stats: &mut RevisedStats,
     ) -> Result<(Vec<f64>, Vec<f64>, BasisState), RevisedError> {
         let m = self.m;
+        let SimplexWorkspace {
+            status,
+            basic,
+            slot_of,
+            xb,
+            cb,
+            rho,
+            w,
+            eligible,
+            flips,
+            fact,
+        } = ws;
         // Basis slots in ascending column order — deterministic no
         // matter what slot order the parent used internally.
-        let mut basic: Vec<usize> = (0..self.ncols)
-            .filter(|&j| status[j] == ColStatus::Basic)
-            .collect();
+        basic.clear();
+        basic.extend((0..self.ncols).filter(|&j| status[j] == ColStatus::Basic));
         if basic.len() != m {
             return Err(RevisedError::Numerical { stats: *stats });
         }
-        let mut slot_of = vec![usize::MAX; self.ncols];
+        slot_of.clear();
+        slot_of.resize(self.ncols, usize::MAX);
         for (slot, &j) in basic.iter().enumerate() {
             slot_of[j] = slot;
         }
-        let mut fact = self
-            .factor(&basic, stats)
-            .ok_or(RevisedError::Numerical { stats: *stats })?;
+        if !self.factor(fact, basic, stats) {
+            return Err(RevisedError::Numerical { stats: *stats });
+        }
         let mut fresh = true; // no etas since the last factorization
 
-        let mut xb = vec![0.0; m];
-        let mut cb = vec![0.0; m];
-        let mut rho = vec![0.0; m];
-        let mut w = vec![0.0; m];
+        for v in [&mut *xb, &mut *cb, &mut *rho, &mut *w] {
+            v.clear();
+            v.resize(m, 0.0);
+        }
         let mut consecutive_degenerate = 0usize;
         let mut bland = false;
 
         loop {
             if fact.eta_count() >= self.opts.refactor_every {
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
+                if !self.factor(fact, basic, stats) {
+                    return Err(RevisedError::Numerical { stats: *stats });
+                }
                 stats.refactorizations += 1;
                 fresh = true;
             }
@@ -445,10 +534,10 @@ impl RevisedEngine {
             xb.copy_from_slice(&self.b);
             for (j, &s) in status.iter().enumerate() {
                 if s != ColStatus::Basic {
-                    self.a.scatter_col(j, -self.nb_value(j, s), &mut xb);
+                    self.a.scatter_col(j, -self.nb_value(j, s), xb);
                 }
             }
-            fact.ftran(&mut xb);
+            fact.ftran(xb);
 
             // Leaving choice: the basic column with the largest bound
             // violation (Bland mode: the smallest-index violated column).
@@ -485,7 +574,7 @@ impl RevisedEngine {
             }
             let Some((r_slot, violation, delta)) = leave else {
                 // Primal feasible + dual feasible (invariant) = optimal.
-                return Ok(self.extract(&status, &basic, &slot_of, &xb, &mut cb, &fact));
+                return Ok(self.extract(status, basic, slot_of, xb, cb, fact));
             };
 
             if stats.iterations >= self.opts.max_iterations {
@@ -496,20 +585,20 @@ impl RevisedEngine {
             for (slot, &j) in basic.iter().enumerate() {
                 cb[slot] = self.cost[j];
             }
-            fact.btran(&mut cb); // now row-indexed y
+            fact.btran(cb); // now row-indexed y
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r_slot] = 1.0;
-            fact.btran(&mut rho); // row-indexed e_rᵀB⁻¹
+            fact.btran(rho); // row-indexed e_rᵀB⁻¹
 
             // Price the nonbasic columns: the entering candidate set.
             // `abar` is the leaving-row entry oriented so that moving an
             // eligible column off its bound *reduces* the violation.
-            let mut eligible: Vec<(usize, f64, f64)> = Vec::new(); // (col, abar, ratio)
+            eligible.clear();
             for (j, &s) in status.iter().enumerate() {
                 if s == ColStatus::Basic || self.lb[j] == self.ub[j] {
                     continue; // fixed columns never enter
                 }
-                let abar = delta * self.a.col_dot(j, &rho);
+                let abar = delta * self.a.col_dot(j, rho);
                 let ok = match s {
                     ColStatus::Lower => abar > ZTOL,
                     ColStatus::Upper => abar < -ZTOL,
@@ -518,13 +607,13 @@ impl RevisedEngine {
                 if !ok {
                     continue;
                 }
-                let rc = self.cost[j] - self.a.col_dot(j, &cb);
+                let rc = self.cost[j] - self.a.col_dot(j, cb);
                 let ratio = (rc / abar).max(0.0);
                 eligible.push((j, abar, ratio));
             }
 
             // Ratio test.
-            let mut flips: Vec<usize> = Vec::new();
+            flips.clear();
             let entering = if bland {
                 // Bland: smallest-index column among the minimal ratios,
                 // no bound flips. Guarantees finiteness.
@@ -547,7 +636,7 @@ impl RevisedEngine {
                 });
                 let mut v = violation;
                 let mut chosen = None;
-                for &(j, abar, ratio) in &eligible {
+                for &(j, abar, ratio) in eligible.iter() {
                     let range = self.ub[j] - self.lb[j];
                     if range.is_finite() && v - abar.abs() * range > self.opts.feas_tol {
                         flips.push(j);
@@ -567,24 +656,24 @@ impl RevisedEngine {
 
             // FTRAN the entering column and check the pivot.
             w.iter_mut().for_each(|v| *v = 0.0);
-            self.a.scatter_col(q, 1.0, &mut w);
-            fact.ftran(&mut w);
+            self.a.scatter_col(q, 1.0, w);
+            fact.ftran(w);
             if w[r_slot].abs() <= PIVOT_TOL {
                 if fresh {
                     return Err(RevisedError::Numerical { stats: *stats });
                 }
                 // Stale etas may be lying; refactorize and retry the
                 // whole iteration from exact values.
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
+                if !self.factor(fact, basic, stats) {
+                    return Err(RevisedError::Numerical { stats: *stats });
+                }
                 stats.refactorizations += 1;
                 fresh = true;
                 continue;
             }
 
             // Commit: flips, then the basis exchange.
-            for &j in &flips {
+            for &j in flips.iter() {
                 status[j] = match status[j] {
                     ColStatus::Lower => ColStatus::Upper,
                     ColStatus::Upper => ColStatus::Lower,
@@ -602,12 +691,12 @@ impl RevisedEngine {
             slot_of[leaving_col] = usize::MAX;
             slot_of[q] = r_slot;
             basic[r_slot] = q;
-            if fact.push_eta(r_slot, &w) {
+            if fact.push_eta(r_slot, w) {
                 fresh = false;
             } else {
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
+                if !self.factor(fact, basic, stats) {
+                    return Err(RevisedError::Numerical { stats: *stats });
+                }
                 stats.refactorizations += 1;
                 fresh = true;
             }
@@ -625,17 +714,19 @@ impl RevisedEngine {
         }
     }
 
-    /// Factorizes the given basis columns.
-    fn factor(&self, basic: &[usize], stats: &mut RevisedStats) -> Option<BasisFactorization> {
+    /// Refactorizes `fact` in place from the given basis columns.
+    /// Returns `false` when the basis is numerically singular.
+    fn factor(
+        &self,
+        fact: &mut BasisFactorization,
+        basic: &[usize],
+        stats: &mut RevisedStats,
+    ) -> bool {
         stats.factorizations += 1;
-        let cols: Vec<Vec<(usize, f64)>> = basic
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = self.a.col(j);
-                rows.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        BasisFactorization::factor(self.m, &cols)
+        fact.refactor(self.m, |s| {
+            let (rows, vals) = self.a.col(basic[s]);
+            rows.iter().copied().zip(vals.iter().copied())
+        })
     }
 
     /// Assembles the optimal solution: clamped structural values, duals
@@ -647,7 +738,7 @@ impl RevisedEngine {
         slot_of: &[usize],
         xb: &[f64],
         cb: &mut [f64],
-        fact: &BasisFactorization,
+        fact: &mut BasisFactorization,
     ) -> (Vec<f64>, Vec<f64>, BasisState) {
         let mut values = Vec::with_capacity(self.nvars);
         for j in 0..self.nvars {

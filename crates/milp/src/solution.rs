@@ -53,6 +53,20 @@ pub struct SolveTrace {
     /// Node relaxations that started from the parent's basis instead of
     /// a cold all-slack basis.
     pub warm_starts: usize,
+    /// Revised-engine builds (standard form and CSC matrix). A fresh
+    /// solve builds one per search (one per worker in parallel); a
+    /// retained [`crate::IncrementalModel`] builds one at its first solve
+    /// and again only after an edit that changed the sparsity pattern or
+    /// the objective.
+    pub engine_builds: usize,
+    /// Node relaxations re-solved by the dense two-phase solver after the
+    /// revised engine gave up on them (iteration limit or numerical
+    /// trouble on both the warm and the cold start).
+    pub dense_fallbacks: usize,
+    /// Solves whose root admitted no dual-feasible cold start (a free
+    /// variable with nonzero cost, say), so the dense solver handled
+    /// every node of the search.
+    pub cold_unstartable: usize,
 }
 
 impl SolveTrace {
@@ -69,6 +83,9 @@ impl SolveTrace {
         self.refactorizations += other.refactorizations;
         self.bound_flips += other.bound_flips;
         self.warm_starts += other.warm_starts;
+        self.engine_builds += other.engine_builds;
+        self.dense_fallbacks += other.dense_fallbacks;
+        self.cold_unstartable += other.cold_unstartable;
     }
 }
 

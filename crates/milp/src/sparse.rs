@@ -10,9 +10,11 @@
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
-/// Built once per model by [`crate::revised::RevisedEngine`]; immutable
-/// afterwards (branch-and-bound only changes variable *bounds*, which the
-/// revised formulation keeps out of the matrix entirely).
+/// Built by [`crate::revised::RevisedEngine`] when a model structure is
+/// first solved. The sparsity pattern never changes afterwards: branch-
+/// and-bound only changes variable *bounds*, which the revised
+/// formulation keeps out of the matrix, and value edits between solves
+/// overwrite stored entries in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMat {
     nrows: usize,
@@ -90,6 +92,26 @@ impl CscMat {
         (&self.row_ix[lo..hi], &self.vals[lo..hi])
     }
 
+    /// Sets the entry at row `row` of column `j` to `v` without changing
+    /// the sparsity pattern: a stored entry is overwritten, and a zero
+    /// written where nothing is stored is a no-op.
+    ///
+    /// Returns `false` and changes nothing when the edit would change the
+    /// pattern: a stored entry set to zero (of either sign) or a nonzero
+    /// written where nothing is stored. [`CscMat::from_columns`] stores
+    /// exactly the nonzeros, so the caller must rebuild the matrix then.
+    pub(crate) fn set_value(&mut self, row: usize, j: usize, v: f64) -> bool {
+        let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
+        match (self.row_ix[lo..hi].binary_search(&row), v != 0.0) {
+            (Ok(k), true) => {
+                self.vals[lo + k] = v;
+                true
+            }
+            (Err(_), false) => true,
+            _ => false,
+        }
+    }
+
     /// Dot product of column `j` with a dense row-indexed vector —
     /// the pricing kernel (`rcⱼ = cⱼ − aⱼᵀ·y`).
     pub fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
@@ -137,6 +159,22 @@ mod tests {
         let m = CscMat::from_columns(2, &[vec![(0, 1.0), (0, 2.0), (1, 5.0), (1, -5.0)]]);
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.col(0), (&[0usize][..], &[3.0][..]));
+    }
+
+    #[test]
+    fn set_value_keeps_the_pattern_or_refuses() {
+        let mut m = CscMat::from_columns(3, &[vec![(0, 1.0), (2, -2.0)], vec![(1, 3.0)]]);
+        assert!(m.set_value(2, 0, 7.5));
+        assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, 7.5][..]));
+        // A zero where nothing is stored leaves the pattern as it is.
+        assert!(m.set_value(1, 0, 0.0));
+        assert!(m.set_value(1, 0, -0.0));
+        // Nonzero into a gap, or zero over an entry, would change it.
+        assert!(!m.set_value(1, 0, 4.0));
+        assert!(!m.set_value(0, 0, 0.0));
+        assert!(!m.set_value(1, 1, -0.0));
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, 7.5][..]));
     }
 
     #[test]

@@ -20,10 +20,17 @@
 //! coefficients, objective coefficients, variable bounds — plus targeted
 //! RHS moves that flip a row from binding to slack (and back) at the
 //! current optimum, the case where a stale basis is most tempting.
+//!
+//! The incremental model keeps its LP engine between solves and patches
+//! it with each edit, so exact mode also proves the patched engine equal
+//! to a fresh build. Deterministic sweeps below pin that per edit kind,
+//! including when an edit must rebuild the engine: a coefficient moved
+//! to or from exactly zero (a sparsity change for the CSC matrix) and
+//! any objective edit.
 
 use billcap_milp::{
     certify_solution, ConstraintOp, IncrementalModel, IncrementalSolver, MipSolver, Model, Sense,
-    SolveError, VarId, VarType,
+    Solution, SolveError, VarId, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
 
@@ -222,7 +229,7 @@ fn exact_mode_matches_rebuild_bitwise() {
                 "step {step}: value mutation moved the structural hash"
             );
             let fresh = spec.build();
-            let a = inc.solve(&im);
+            let a = inc.solve(&mut im);
             let b = MipSolver::default().solve(&fresh);
             match (&a, &b) {
                 (Ok(sa), Ok(sb)) => {
@@ -268,7 +275,7 @@ fn basis_reuse_preserves_the_optimum() {
             let mutation = Mutation::random(rng, &spec, last_values.as_deref());
             mutation.apply(&mut spec, &mut im);
             let fresh = spec.build();
-            let a = warm.solve(&im);
+            let a = warm.solve(&mut im);
             let b = MipSolver::default().solve(&fresh);
             match (&a, &b) {
                 (Ok(sa), Ok(sb)) => {
@@ -336,4 +343,163 @@ fn parallel_solver_matches_rebuild_on_mutated_models() {
             _ => panic!("outcomes diverged: {a:?} vs {b:?}"),
         }
     });
+}
+
+/// A small mixed-integer program that branches: a big-M activation row
+/// (`x ≤ 4b`), an integer `z` and fractional right-hand sides.
+fn sweep_model() -> Model {
+    let mut m = Model::new("sweep", Sense::Maximize);
+    let x = m.add_cont("x", 0.0, 5.0);
+    let y = m.add_cont("y", 0.0, 5.0);
+    let z = m.add_var("z", VarType::Integer, 0.0, 3.0);
+    let b = m.add_binary("b");
+    m.add_constraint(
+        "cap",
+        vec![(x, 1.0), (y, 1.0), (z, 1.0)],
+        ConstraintOp::Le,
+        7.5,
+    );
+    m.add_constraint("act", vec![(x, 1.0), (b, -4.0)], ConstraintOp::Le, 0.0);
+    m.add_constraint("mix", vec![(y, 2.0), (z, 1.0)], ConstraintOp::Le, 6.5);
+    m.add_constraint("floor", vec![(x, 1.0), (z, 1.0)], ConstraintOp::Ge, 1.0);
+    m.set_objective(vec![(x, 3.0), (y, 2.0), (z, 4.0), (b, -5.0)], 0.0);
+    m
+}
+
+/// Asserts a retained-engine solve equals a fresh solve of `fresh` bit
+/// for bit — objective, values, duals and every work counter — and that
+/// the retained solve built its engine `builds` times.
+fn assert_retained_matches_fresh(retained: &Solution, fresh: &Model, builds: usize, ctx: &str) {
+    let oracle = MipSolver::default().solve(fresh).expect("fresh solve");
+    assert_eq!(
+        retained.objective.to_bits(),
+        oracle.objective.to_bits(),
+        "{ctx}: objective {} vs {}",
+        retained.objective,
+        oracle.objective
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&retained.values),
+        bits(&oracle.values),
+        "{ctx}: values"
+    );
+    assert_eq!(
+        retained.duals.as_deref().map(bits),
+        oracle.duals.as_deref().map(bits),
+        "{ctx}: duals"
+    );
+    assert_eq!(retained.iterations, oracle.iterations, "{ctx}: pivots");
+    let (got, want) = (retained.mip.expect("stats"), oracle.mip.expect("stats"));
+    assert_eq!(got.trace.engine_builds, builds, "{ctx}: engine builds");
+    assert_eq!(
+        want.trace.engine_builds, 1,
+        "{ctx}: a fresh solve builds once"
+    );
+    let mut got_trace = got.trace;
+    got_trace.engine_builds = want.trace.engine_builds;
+    assert_eq!(got_trace, want.trace, "{ctx}: work counters");
+    assert_eq!(got.nodes, want.nodes, "{ctx}: nodes");
+    assert_eq!(got.best_bound.to_bits(), want.best_bound.to_bits(), "{ctx}");
+    assert_eq!(got.gap.to_bits(), want.gap.to_bits(), "{ctx}");
+}
+
+/// RHS, coefficient, objective and bound sweeps through one retained
+/// engine, each solve bitwise-equal to a fresh solve. RHS, nonzero
+/// coefficient and bound edits patch the engine in place (no build);
+/// a coefficient to or from exactly zero and an objective edit rebuild
+/// it, once, at the next solve.
+#[test]
+fn retained_engine_sweeps_match_fresh_solves_bitwise() {
+    let mut fresh = sweep_model();
+    let mut im = IncrementalModel::new(sweep_model()).expect("valid model");
+    let mut inc = IncrementalSolver::new(MipSolver::default());
+    let [x, _, z, b] = [0, 1, 2, 3].map(VarId::from_index);
+    let mut max_nodes = 0;
+    let mut check = |im: &mut IncrementalModel, fresh: &Model, builds: usize, ctx: &str| {
+        let sol = inc
+            .solve(im)
+            .unwrap_or_else(|e| panic!("{ctx}: retained solve: {e}"));
+        assert_retained_matches_fresh(&sol, fresh, builds, ctx);
+        max_nodes = max_nodes.max(sol.mip.expect("stats").nodes);
+    };
+    check(&mut im, &fresh, 1, "first solve builds the engine");
+
+    for rhs in [6.25, 3.5, 1.25, 9.0] {
+        im.set_rhs("cap", rhs).expect("row exists");
+        fresh.set_constraint_rhs(0, rhs).expect("row exists");
+        check(&mut im, &fresh, 0, &format!("cap rhs {rhs}"));
+    }
+    for rhs in [2.0, 1.5] {
+        im.set_rhs("floor", rhs).expect("row exists");
+        fresh.set_constraint_rhs(3, rhs).expect("row exists");
+        check(&mut im, &fresh, 0, &format!("floor rhs {rhs}"));
+    }
+
+    // The big-M coefficient through zero and back: the zero edits change
+    // the CSC pattern, so they (and the return to nonzero) rebuild; a
+    // zero of the other sign over a zero does not.
+    for (coeff, builds) in [
+        (-3.0, 0),
+        (-1.5, 0),
+        (0.0, 1),
+        (-0.0, 0),
+        (-2.0, 1),
+        (-2.5, 0),
+    ] {
+        im.set_coeff("act", b, coeff).expect("term exists");
+        fresh
+            .set_constraint_coeff(1, b, coeff)
+            .expect("term exists");
+        check(&mut im, &fresh, builds, &format!("act coeff {coeff}"));
+    }
+    im.set_coeff("mix", z, 0.5).expect("term exists");
+    fresh.set_constraint_coeff(2, z, 0.5).expect("term exists");
+    check(&mut im, &fresh, 0, "mix coeff 0.5");
+
+    for coeff in [1.0, 6.0, -2.0] {
+        im.set_objective_coeff(x, coeff).expect("term exists");
+        fresh.set_objective_coeff(x, coeff).expect("term exists");
+        check(&mut im, &fresh, 1, &format!("objective {coeff}"));
+    }
+
+    for (lb, ub) in [(1.0, 2.0), (0.0, 3.0), (2.0, 2.0)] {
+        im.set_var_bounds(z, lb, ub).expect("ordered bounds");
+        fresh.set_var_bounds(z, lb, ub);
+        check(&mut im, &fresh, 0, &format!("z bounds [{lb}, {ub}]"));
+    }
+    assert!(max_nodes > 1, "the sweep must exercise branching");
+}
+
+/// The pure-LP path keeps the engine too: with `z` and `b` relaxed, RHS
+/// and coefficient sweeps return bitwise-identical values and duals.
+#[test]
+fn retained_engine_pure_lp_sweeps_match_fresh_solves_bitwise() {
+    let relaxed = |m: Model| {
+        let mut lp = Model::new("sweep_lp", m.sense);
+        for v in m.variables() {
+            lp.add_cont(v.name.clone(), v.lb, v.ub);
+        }
+        for c in m.constraints() {
+            lp.add_constraint(c.name.clone(), c.terms.clone(), c.op, c.rhs);
+        }
+        lp.set_objective(m.objective().to_vec(), m.objective_constant());
+        lp
+    };
+    let mut fresh = relaxed(sweep_model());
+    let mut im = IncrementalModel::new(relaxed(sweep_model())).expect("valid model");
+    let mut inc = IncrementalSolver::new(MipSolver::default());
+    let y = VarId::from_index(1);
+    let sol = inc.solve(&mut im).expect("retained solve");
+    assert_retained_matches_fresh(&sol, &fresh, 1, "first LP solve");
+    for (i, v) in [5.5, 8.0, 2.25].into_iter().enumerate() {
+        im.set_rhs("mix", v).expect("row exists");
+        fresh.set_constraint_rhs(2, v).expect("row exists");
+        im.set_coeff("cap", y, 1.0 + i as f64).expect("term exists");
+        fresh
+            .set_constraint_coeff(0, y, 1.0 + i as f64)
+            .expect("term exists");
+        let sol = inc.solve(&mut im).expect("retained solve");
+        assert_retained_matches_fresh(&sol, &fresh, 0, &format!("LP sweep {i}"));
+    }
 }

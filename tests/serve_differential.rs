@@ -15,8 +15,9 @@ use billcap::serve::{
     MAX_FRAME,
 };
 use billcap::sim::Scenario;
-use std::io::Cursor;
-use std::sync::OnceLock;
+use std::io::{Cursor, Read, Write};
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 const HOURS: usize = 168;
 
@@ -81,35 +82,115 @@ fn four_workers_with_cache_is_bitwise_identical() {
     replay_and_verify(4, true);
 }
 
+/// Response frames written so far, shared between [`CountingWriter`]
+/// and the [`GatedReader`] waiting on them.
+#[derive(Default)]
+struct FrameGate {
+    written: Mutex<usize>,
+    changed: Condvar,
+}
+
+/// Serves `first`, then blocks until the server has written `after`
+/// response frames, then serves `second`. Orders a second request pass
+/// after the first pass's answers without depending on scheduling.
+struct GatedReader<'a> {
+    first: Cursor<Vec<u8>>,
+    second: Cursor<Vec<u8>>,
+    gate: &'a FrameGate,
+    after: usize,
+}
+
+impl Read for GatedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.first.read(buf)?;
+        if n > 0 || buf.is_empty() {
+            return Ok(n);
+        }
+        // The deadline only turns a broken server into a failed count
+        // assertion instead of a hang; a working one never reaches it.
+        let written = self.gate.written.lock().expect("gate lock");
+        let (_written, _) = self
+            .gate
+            .changed
+            .wait_timeout_while(written, Duration::from_secs(120), |w| *w < self.after)
+            .expect("gate lock");
+        self.second.read(buf)
+    }
+}
+
+/// Collects the server's output and counts its complete frames.
+struct CountingWriter<'a> {
+    out: Vec<u8>,
+    scanned: usize,
+    gate: &'a FrameGate,
+}
+
+impl Write for CountingWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.out.extend_from_slice(buf);
+        let mut frames = 0;
+        while let Some(header) = self.out.get(self.scanned..self.scanned + 4) {
+            let len = u32::from_be_bytes(header.try_into().expect("4 bytes")) as usize;
+            if self.out.len() < self.scanned + 4 + len {
+                break;
+            }
+            self.scanned += 4 + len;
+            frames += 1;
+        }
+        if frames > 0 {
+            *self.gate.written.lock().expect("gate lock") += frames;
+            self.gate.changed.notify_all();
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// The same week submitted twice in one connection: the second pass must
 /// be answered from the decision cache (every request is an exact bit
 /// pattern repeat) and remain bitwise-identical to the fresh decisions.
+/// The second pass is released only after all of the first pass's
+/// responses were written — each written after its cache insert — so
+/// the hit count is exact whatever the deciders' schedule.
 #[test]
 fn cached_second_pass_stays_bitwise_identical() {
     let plan = plan();
-    let mut input = encode_requests(plan);
-    let second = encode_requests(plan);
-    input.extend_from_slice(&second);
+    let gate = FrameGate::default();
+    let input = GatedReader {
+        first: Cursor::new(encode_requests(plan)),
+        second: Cursor::new(encode_requests(plan)),
+        gate: &gate,
+        after: HOURS,
+    };
+    let mut writer = CountingWriter {
+        out: Vec::new(),
+        scanned: 0,
+        gate: &gate,
+    };
 
-    let mut out = Vec::new();
-    let stats = billcap::serve::serve(&config(2, true), Cursor::new(input), &mut out);
+    let stats = billcap::serve::serve(&config(2, true), input, &mut writer);
     assert_eq!(stats.decisions as usize, 2 * HOURS);
     assert_eq!(stats.errors, 0);
-    // Workers race hour-for-hour duplicates only within one pass's
-    // in-flight window; the full second pass is all hits, so at least
-    // HOURS of the 2*HOURS requests must have been served from cache.
+    // The full second pass is all hits, so at least HOURS of the
+    // 2*HOURS requests must have been served from cache — exactly
+    // HOURS, since the first pass's keys are all distinct.
     assert!(
         stats.cache_hits as usize >= HOURS,
         "expected >= {HOURS} cache hits, got {}",
         stats.cache_hits
     );
+    assert_eq!(stats.cache_hits, HOURS as u64);
+    assert_eq!(stats.cache_misses, HOURS as u64);
     // Every lookup is either a hit or a miss; nothing is ever evicted
     // (2*168 requests name only 168 distinct keys, capacity 744).
     assert_eq!(stats.cache_hits + stats.cache_misses, 2 * HOURS as u64);
     assert_eq!(stats.cache_evictions, 0);
 
     let mut per_hour_count = vec![0usize; HOURS];
-    let mut cur = Cursor::new(out);
+    let mut cur = Cursor::new(writer.out);
     while let Some(frame) = read_frame(&mut cur, MAX_FRAME).expect("server frames parse") {
         match Response::parse(&frame).expect("server responses parse") {
             Response::Decision(msg) => {

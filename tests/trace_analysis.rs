@@ -87,10 +87,14 @@ fn profile_flame_and_diff_round_trip_a_traced_week() {
         report_ab.render()
     );
 
-    // --- Injected span slowdown past the threshold is caught.
+    // --- Injected span slowdown past the threshold is caught. The
+    // slowdown is twice what either threshold forgives on top of run A's
+    // `hour` total, so it regresses however fast the machine ran `hour`.
     let mut slowed = snap_b.clone();
+    let base_hour_ns = snap_a.spans["hour"].total_ns as f64;
+    let slowdown_ns = 2.0 * cfg.time_abs_ns.max(cfg.time_rel * base_hour_ns);
     if let Some(s) = slowed.spans.get_mut("hour") {
-        s.total_ns *= 10;
+        s.total_ns = (base_hour_ns + slowdown_ns) as u64;
     }
     let report_slow = diff_snapshots(&snap_a, &slowed, &cfg);
     assert!(report_slow.has_regressions());

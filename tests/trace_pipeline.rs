@@ -7,7 +7,7 @@
 //! enable flag are process-wide state.
 
 use billcap::obs;
-use billcap::sim::{run_month, Scenario, Strategy};
+use billcap::sim::{run_month, run_month_with, Scenario, Strategy};
 
 fn hour_field(fields: &[(String, f64)], name: &str) -> Option<f64> {
     fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -99,4 +99,52 @@ fn traced_week_is_consistent_with_report() {
     let jsonl = obs::export::to_jsonl(&snap);
     let back = obs::export::parse_jsonl(&jsonl).expect("parseable JSONL");
     assert_eq!(back, snap);
+
+    // Runs here, after the checks above, because it resets the same
+    // process-wide recorder.
+    stringent_reference_counts_are_pinned();
+}
+
+/// The 168-hour stringent-budget reference behind BENCH_solver.json's
+/// deterministic aggregates: its exact work counters, including every
+/// LP-engine rung. Each retained step model builds its revised engine
+/// once, at its first solve, so engine builds equal step-model builds;
+/// no node falls back to the dense solver and every root cold-starts.
+fn stringent_reference_counts_are_pinned() {
+    const HOURS: usize = 168;
+    let mut scenario = Scenario::paper_default(1, 42);
+    scenario.workload = scenario.workload.slice(0, HOURS);
+    scenario.background = scenario
+        .background
+        .iter()
+        .map(|b| b.slice(0, HOURS))
+        .collect();
+    let budget = Scenario::STRINGENT_BUDGET * HOURS as f64 / 720.0;
+
+    obs::reset();
+    obs::set_enabled(true);
+    let report = run_month_with(&scenario, Strategy::CostCapping, Some(budget), false);
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    obs::reset();
+    report.expect("reference run succeeds");
+
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let expected = [
+        ("sim.hours", 168),
+        ("milp.bnb.nodes", 291),
+        ("milp.lp.iterations", 1666),
+        ("core.engine.rebuilds", 16),
+        ("milp.lp.engine_builds", 16),
+        ("milp.lp.dense_fallbacks", 0),
+        ("milp.lp.cold_unstartable", 0),
+    ];
+    for (name, want) in expected {
+        assert_eq!(counter(name), want, "{name}");
+    }
+    assert_eq!(
+        counter("milp.lp.engine_builds"),
+        counter("core.engine.rebuilds"),
+        "one engine build per step-model build"
+    );
 }
