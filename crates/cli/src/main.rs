@@ -166,6 +166,9 @@ USAGE:
       monthly budget) through an in-process decision server and report
       throughput. With --check, verify every response bitwise against
       the sequential fresh-model decisions and fail on any mismatch.
+      Setting BILLCAP_TRACE to a path writes the served run's trace
+      (serve.request spans with their decode/cache/decide/encode/write
+      children) to that file as JSONL.
 
   billcap help
       Show this message.
@@ -843,7 +846,17 @@ fn replay_cmd(args: &Args) -> Result<(), ArgError> {
 
     eprintln!("building {hours}-hour plan (policy {policy}, seed {seed})...");
     let plan = build_plan(policy, seed, hours, budget).map_err(|e| ArgError(e.to_string()))?;
+    // Replay takes no --trace flag, so only a path-valued BILLCAP_TRACE
+    // names the output. The trace covers the served run, not the plan's
+    // solves.
+    let trace_path = begin_trace(args);
+    if trace_path.is_some() {
+        billcap_obs::reset();
+    }
     let outcome = run_replay(&cfg, &plan).map_err(ArgError)?;
+    if let Some(path) = &trace_path {
+        write_trace(path)?;
+    }
     println!(
         "replayed {} hours on {} workers: {:.1} decisions/sec ({} cached, {} errors)",
         outcome.decisions.len(),

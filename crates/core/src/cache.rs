@@ -4,15 +4,23 @@
 //! requests: identical `(system, inputs)` tuples recur whenever a
 //! workload trace revisits an operating point. Since
 //! [`crate::BillCapper::decide_hour`] is a pure function of its inputs,
-//! a finished [`HourDecision`] can be replayed verbatim for an exact
-//! match — the cache keys on **raw bits**, never tolerances, so a hit
-//! is bitwise-identical to a fresh solve by construction and two
-//! almost-equal inputs never alias.
+//! anything derived from a finished decision can be replayed verbatim
+//! for an exact match — the cache keys on **raw bits**, never
+//! tolerances, so a hit is bitwise-identical to a fresh solve by
+//! construction and two almost-equal inputs never alias.
+//!
+//! [`DecisionCache`] is generic over what it stores. The default,
+//! [`HourDecision`], suits in-process callers; the serve daemon stores
+//! each decision's rendered response body (`Arc<[u8]>`), so a hit is a
+//! byte copy rather than a re-encode. Eviction is FIFO in insertion
+//! order.
 //!
 //! The system itself is folded into the key as an FNV-1a fingerprint of
 //! every number the MILPs read from it (site power/queueing parameters
 //! and the full pricing schedule), so one cache instance can safely
-//! serve requests that name different policies.
+//! serve requests that name different policies. Callers that answer
+//! many requests against one system compute [`system_fingerprint`] once
+//! and build keys with [`DecisionKey::with_fingerprint`].
 
 use crate::capper::HourDecision;
 use crate::spec::DataCenterSystem;
@@ -96,8 +104,29 @@ impl DecisionKey {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Self {
+        Self::with_fingerprint(
+            system_fingerprint(system),
+            integral_servers,
+            offered,
+            premium_offered,
+            background_mw,
+            hourly_budget,
+        )
+    }
+
+    /// Builds the key for one request against a system whose
+    /// [`system_fingerprint`] the caller already holds. Equal to
+    /// [`DecisionKey::new`] on that system, without re-hashing it.
+    pub fn with_fingerprint(
+        fingerprint: u64,
+        integral_servers: bool,
+        offered: f64,
+        premium_offered: f64,
+        background_mw: &[f64],
+        hourly_budget: f64,
+    ) -> Self {
         Self {
-            system: system_fingerprint(system),
+            system: fingerprint,
             integral_servers,
             offered: offered.to_bits(),
             premium_offered: premium_offered.to_bits(),
@@ -107,14 +136,15 @@ impl DecisionKey {
     }
 }
 
-/// A bounded FIFO cache of finished decisions.
+/// A bounded FIFO cache of finished decisions, or of any value `V`
+/// derived from one (the serve daemon stores rendered response bodies).
 ///
 /// FIFO (not LRU) keeps eviction deterministic under concurrent
 /// readers: the eviction order depends only on insertion order, never
 /// on who happened to read an entry last.
 #[derive(Debug)]
-pub struct DecisionCache {
-    map: HashMap<DecisionKey, HourDecision>,
+pub struct DecisionCache<V = HourDecision> {
+    map: HashMap<DecisionKey, V>,
     order: VecDeque<DecisionKey>,
     capacity: usize,
     hits: u64,
@@ -126,9 +156,16 @@ impl DecisionCache {
     /// Default capacity: a month of hourly decisions.
     pub const DEFAULT_CAPACITY: usize = 744;
 
-    /// Creates a cache holding at most `capacity` decisions
-    /// (minimum 1).
+    /// Creates a cache of [`HourDecision`]s holding at most `capacity`
+    /// entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
+        Self::with_capacity(capacity)
+    }
+}
+
+impl<V: Clone> DecisionCache<V> {
+    /// Creates a cache holding at most `capacity` values (minimum 1).
+    pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             map: HashMap::with_capacity(capacity.min(4096)),
@@ -140,10 +177,10 @@ impl DecisionCache {
         }
     }
 
-    /// Looks up a decision, recording a hit or miss (mirrored to the
+    /// Looks up a value, recording a hit or miss (mirrored to the
     /// `core.cache.hit` / `core.cache.miss` counters when tracing is
     /// enabled).
-    pub fn get(&mut self, key: &DecisionKey) -> Option<HourDecision> {
+    pub fn get(&mut self, key: &DecisionKey) -> Option<V> {
         let found = self.map.get(key).cloned();
         if found.is_some() {
             self.hits += 1;
@@ -159,17 +196,17 @@ impl DecisionCache {
         found
     }
 
-    /// Stores a decision, evicting the oldest entry when full.
+    /// Stores a value, evicting the oldest entry when full.
     /// Re-inserting an existing key refreshes the value without
     /// growing the FIFO.
-    pub fn insert(&mut self, key: DecisionKey, decision: HourDecision) {
+    pub fn insert(&mut self, key: DecisionKey, value: V) {
         match self.map.entry(key.clone()) {
             Entry::Occupied(mut e) => {
-                e.insert(decision);
+                e.insert(value);
                 return;
             }
             Entry::Vacant(e) => {
-                e.insert(decision);
+                e.insert(value);
                 self.order.push_back(key);
             }
         }
@@ -187,7 +224,7 @@ impl DecisionCache {
         }
     }
 
-    /// Number of cached decisions.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -275,6 +312,39 @@ mod tests {
         let k1 = DecisionKey::new(&p1, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         let k2 = DecisionKey::new(&p2, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         assert_ne!(k1, k2);
+    }
+
+    #[test]
+    fn fingerprint_constructor_matches_new_for_every_policy() {
+        for policy in 0..=3 {
+            let sys = DataCenterSystem::paper_system(policy);
+            let fp = system_fingerprint(&sys);
+            for integral in [false, true] {
+                let a = DecisionKey::new(&sys, integral, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+                let b = DecisionKey::with_fingerprint(
+                    fp,
+                    integral,
+                    4e8,
+                    2e8,
+                    &[330.0, 410.0, 280.0],
+                    1e9,
+                );
+                assert_eq!(a, b, "policy {policy}, integral {integral}");
+            }
+        }
+    }
+
+    #[test]
+    fn stores_any_cloneable_value() {
+        let sys = DataCenterSystem::paper_system(1);
+        let key = DecisionKey::new(&sys, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        let mut cache: DecisionCache<std::sync::Arc<[u8]>> = DecisionCache::with_capacity(1);
+        cache.insert(key.clone(), b"body".as_slice().into());
+        assert_eq!(cache.get(&key).as_deref(), Some(b"body".as_slice()));
+        let other = DecisionKey::new(&sys, false, 5e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        cache.insert(other, b"next".as_slice().into());
+        assert!(cache.get(&key).is_none(), "capacity 1 evicts the first");
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 1, 1));
     }
 
     #[test]

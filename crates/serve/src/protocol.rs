@@ -21,6 +21,14 @@
 //! `solves`/`nodes`/`lp_iterations` counters. Wall-clock fields of
 //! [`billcap_core::DecisionTrace`] are machine noise and never cross
 //! the wire.
+//!
+//! A decision payload is a per-request head,
+//! `{"type":"decision","id":N,"cached":B`
+//! ([`DecisionMsg::render_head`]), followed by a body that depends only
+//! on the decision ([`DecisionMsg::render_body`]). The server caches
+//! bodies and answers a repeat of an hour by writing a new head before
+//! the stored body; [`DecisionMsg::to_value`] renders the same fields
+//! in the same order, so both paths give identical bytes.
 
 use billcap_core::{HourDecision, HourOutcome};
 use billcap_obs::json::Value;
@@ -461,13 +469,54 @@ impl DecisionMsg {
         }
     }
 
-    /// Renders the decision as a JSON payload.
+    /// Renders the decision as a JSON payload: the per-request head
+    /// fields ([`render_head`](Self::render_head)) followed by the
+    /// per-decision body fields ([`render_body`](Self::render_body)).
     pub fn to_value(&self) -> Value {
-        let farr = |v: &[f64]| Value::Arr(v.iter().map(|&f| Value::Float(f)).collect());
-        Value::Obj(vec![
+        let mut fields = vec![
             ("type".into(), Value::Str("decision".into())),
             ("id".into(), Value::Int(self.id as i64)),
             ("cached".into(), Value::Bool(self.cached)),
+        ];
+        fields.extend(self.body_fields());
+        Value::Obj(fields)
+    }
+
+    /// Appends the rendered head, `{"type":"decision","id":N,"cached":B`,
+    /// to `out`. The head is the only part of a decision payload that
+    /// depends on the request rather than on the decision, so head plus
+    /// [`render_body`](Self::render_body) is byte-identical to
+    /// `to_value().render()`; it is formatted here without building a
+    /// [`Value`], exactly as [`Value::Int`] and [`Value::Bool`] render.
+    pub fn render_head(id: u64, cached: bool, out: &mut Vec<u8>) {
+        use std::io::Write as _;
+        // Writing to a Vec cannot fail.
+        let _ = write!(
+            out,
+            "{{\"type\":\"decision\",\"id\":{},\"cached\":{cached}",
+            id as i64
+        );
+    }
+
+    /// Renders the body: every field after `cached`, from
+    /// `,"outcome":` through the closing `}`. It depends only on the
+    /// decision, so a cache can store it once and answer every repeat
+    /// of the hour by appending it to a fresh
+    /// [`render_head`](Self::render_head).
+    pub fn render_body(&self) -> Vec<u8> {
+        // The body fields rendered as an object, `{…}`, with the
+        // opening brace turned into the separator that follows the head.
+        let mut body = Value::Obj(self.body_fields()).render().into_bytes();
+        if let Some(first) = body.first_mut() {
+            *first = b',';
+        }
+        body
+    }
+
+    /// The decision-dependent fields, in wire order.
+    fn body_fields(&self) -> Vec<(String, Value)> {
+        let farr = |v: &[f64]| Value::Arr(v.iter().map(|&f| Value::Float(f)).collect());
+        vec![
             (
                 "outcome".into(),
                 Value::Str(outcome_tag(self.outcome).into()),
@@ -497,7 +546,7 @@ impl DecisionMsg {
                 "lp_iterations".into(),
                 Value::Int(self.lp_iterations as i64),
             ),
-        ])
+        ]
     }
 
     /// Parses a decision payload (the client half of the protocol).
@@ -833,6 +882,30 @@ mod tests {
                 back.bitwise_matches(&d).unwrap();
             }
             other => panic!("parsed {other:?}"),
+        }
+    }
+
+    #[test]
+    fn head_plus_body_is_the_rendered_decision() {
+        use billcap_core::{BillCapper, DataCenterSystem};
+        let sys = DataCenterSystem::paper_system(2);
+        let d = BillCapper::default()
+            .decide_hour(&sys, 6e8, 3.6e8, &[330.0, 410.0, 280.0], 25_000.0)
+            .unwrap();
+        let body = DecisionMsg::from_decision(0, &d, false).render_body();
+        assert!(body.starts_with(b",\"outcome\":"));
+        for id in [0, 1, 42, i64::MAX as u64, u64::MAX] {
+            for cached in [false, true] {
+                let mut bytes = Vec::new();
+                DecisionMsg::render_head(id, cached, &mut bytes);
+                bytes.extend_from_slice(&body);
+                let msg = DecisionMsg::from_decision(id, &d, cached);
+                assert_eq!(
+                    String::from_utf8(bytes).unwrap(),
+                    Response::Decision(msg).to_value().render(),
+                    "id {id}, cached {cached}"
+                );
+            }
         }
     }
 

@@ -11,14 +11,27 @@
 //!  ServerTelemetry ◀──latency/counters  Mutex<W> ◀──response frames──┘
 //! ```
 //!
+//! * The reader reads through a [`BufReader`], so one syscall
+//!   usually brings in many frames, and signals the queue's condvar
+//!   only when a decider is waiting on it.
 //! * Each worker owns one [`DecisionEngine`] per pricing policy, so
-//!   model reuse never crosses threads and needs no locking.
+//!   model reuse never crosses threads and needs no locking. The
+//!   system's cache fingerprint is hashed once per engine.
 //! * The decision cache (optional) is shared: one hour solved by any
-//!   worker is a hit for every worker.
+//!   worker is a hit for every worker. It stores each decision's
+//!   rendered response body ([`DecisionMsg::render_body`]); a hit writes
+//!   the head for the request's id ([`DecisionMsg::render_head`]) and
+//!   copies the body, the bytes a fresh render would produce.
+//! * Every response frame, header and payload, leaves in one
+//!   `write_all` under the writer lock: one syscall per frame on a
+//!   socket, and concurrent workers never interleave inside a frame.
 //! * Malformed requests get an in-band `error` response and the stream
 //!   continues; framing errors (truncation, oversized length) poison
 //!   the stream — the server emits one final `error` frame and shuts
 //!   down cleanly. Neither ever panics a worker.
+//! * With tracing on, each data frame runs under a `serve.request`
+//!   span with children `serve.decode`, `serve.cache`, `serve.decide`,
+//!   `serve.encode` and `serve.write`.
 //!
 //! ## Telemetry
 //!
@@ -52,17 +65,18 @@
 //! [`billcap_core::BillCapper::decide_hour`] on the same request.
 
 use crate::protocol::{
-    read_frame, write_frame, ControlMsg, DecisionMsg, FrameError, Request, Response, MAX_FRAME,
+    read_frame, ControlMsg, DecisionMsg, FrameError, Request, Response, MAX_FRAME,
 };
 use billcap_core::{
-    CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey, EngineStats,
+    system_fingerprint, CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey,
+    EngineStats,
 };
 use billcap_obs::{MetricsDoc, QuantileSummary, Stopwatch, TraceSink, WindowedHistogram};
 use billcap_rt::run_workers;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Bucket upper bounds for the latency histograms, microseconds.
 /// Solves land around 10²–10³ µs; the tail buckets catch stalls.
@@ -247,13 +261,28 @@ struct Queue {
     /// Frames with their enqueue stamp (present iff telemetry is on).
     frames: VecDeque<(Vec<u8>, Option<Stopwatch>)>,
     done: bool,
+    /// Deciders blocked on `available` (or woken but not yet back in
+    /// the lock). The reader signals only while this is non-zero.
+    waiting: usize,
+}
+
+/// A shared decision cache entry: the decision's rendered response
+/// body ([`DecisionMsg::render_body`]), ready to follow any head.
+type CachedBody = Arc<[u8]>;
+
+/// Which counter a response frame moves.
+#[derive(Clone, Copy)]
+enum Sent {
+    Decision,
+    Error,
+    Control,
 }
 
 struct Shared<'t, W: Write> {
     queue: Mutex<Queue>,
     available: Condvar,
     writer: Mutex<W>,
-    cache: Option<Mutex<DecisionCache>>,
+    cache: Option<Mutex<DecisionCache<CachedBody>>>,
     tele: &'t ServerTelemetry,
     requests: AtomicU64,
     decisions: AtomicU64,
@@ -265,25 +294,64 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Starts a frame in `out`: clears it and reserves the 4-byte length
+/// header that [`Shared::send`] fills in.
+fn begin_frame(out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+}
+
+/// Fills `out` with a decision frame: the head for `id` and `cached`,
+/// then the rendered `body`.
+fn decision_frame(out: &mut Vec<u8>, id: u64, cached: bool, body: &[u8]) {
+    begin_frame(out);
+    DecisionMsg::render_head(id, cached, out);
+    out.extend_from_slice(body);
+}
+
 impl<W: Write> Shared<'_, W> {
+    /// Renders `response` and sends it as one frame.
     fn respond(&self, response: &Response) {
+        let kind = match response {
+            Response::Decision(_) => Sent::Decision,
+            Response::Error { .. } => Sent::Error,
+            Response::Metrics { .. } | Response::Health { .. } => Sent::Control,
+        };
+        let mut out = Vec::new();
+        {
+            let _encode = billcap_obs::span("serve.encode");
+            begin_frame(&mut out);
+            out.extend_from_slice(response.to_value().render().as_bytes());
+        }
+        self.send(kind, &mut out);
+    }
+
+    /// Writes a frame begun with [`begin_frame`] — header and payload
+    /// in one `write_all`, so a socket sees one syscall per response
+    /// and concurrent deciders never interleave inside a frame.
+    fn send(&self, kind: Sent, out: &mut [u8]) {
         // Counters move *before* the frame is written so a scrape
         // issued after reading N responses always covers those N.
-        match response {
-            Response::Decision(_) => {
+        match kind {
+            Sent::Decision => {
                 self.decisions.fetch_add(1, Ordering::Relaxed);
                 self.tele.decisions.fetch_add(1, Ordering::SeqCst);
             }
-            Response::Error { .. } => {
+            Sent::Error => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 self.tele.errors.fetch_add(1, Ordering::SeqCst);
             }
-            Response::Metrics { .. } | Response::Health { .. } => {}
+            Sent::Control => {}
         }
-        let payload = response.to_value().render();
-        let mut w = lock(&self.writer);
-        let ok = write_frame(&mut *w, payload.as_bytes()).and_then(|()| w.flush());
-        drop(w);
+        let _write = billcap_obs::span("serve.write");
+        let ok = match u32::try_from(out.len() - 4) {
+            Ok(len) => {
+                out[..4].copy_from_slice(&len.to_be_bytes());
+                let mut w = lock(&self.writer);
+                w.write_all(out).and_then(|()| w.flush())
+            }
+            Err(_) => Err(std::io::ErrorKind::InvalidInput.into()),
+        };
         if ok.is_err() {
             // The client is gone; keep draining the queue so the call
             // terminates, but stop pretending writes matter.
@@ -457,12 +525,13 @@ where
         queue: Mutex::new(Queue {
             frames: VecDeque::new(),
             done: false,
+            waiting: 0,
         }),
         available: Condvar::new(),
         writer: Mutex::new(writer),
         cache: cfg
             .cache
-            .then(|| Mutex::new(DecisionCache::new(cfg.cache_capacity))),
+            .then(|| Mutex::new(DecisionCache::with_capacity(cfg.cache_capacity))),
         tele,
         requests: AtomicU64::new(0),
         decisions: AtomicU64::new(0),
@@ -515,7 +584,7 @@ fn run_reader<R: Read, W: Write>(
     reader_slot: &Mutex<Option<R>>,
 ) {
     let mut reader = match lock(reader_slot).take() {
-        Some(r) => r,
+        Some(r) => BufReader::new(r),
         None => return,
     };
     let instrumented = shared.tele.enabled();
@@ -549,8 +618,15 @@ fn run_reader<R: Read, W: Write>(
                 if billcap_obs::enabled() {
                     billcap_obs::gauge("serve.queue_depth", q.frames.len() as f64);
                 }
+                // A decider that is not waiting re-checks the queue
+                // under this lock before it waits, so it cannot miss
+                // the frame; signalling only waiting ones saves a
+                // futex wake per frame while every decider is busy.
+                let wake = q.waiting > 0;
                 drop(q);
-                shared.available.notify_one();
+                if wake {
+                    shared.available.notify_one();
+                }
                 if instrumented
                     && cfg.window_requests > 0
                     && data_frames.is_multiple_of(cfg.window_requests)
@@ -582,11 +658,15 @@ fn run_reader<R: Read, W: Write>(
 /// A worker's engine plus the stats already folded into telemetry.
 struct EngineState {
     engine: DecisionEngine,
+    /// [`system_fingerprint`] of the engine's system, hashed once.
+    fingerprint: u64,
     reported: EngineStats,
 }
 
 fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
     let mut engines: HashMap<usize, EngineState> = HashMap::new();
+    // Response frames are assembled here, reused across requests.
+    let mut out = Vec::new();
     loop {
         let entry = {
             let mut q = lock(&shared.queue);
@@ -597,14 +677,16 @@ fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
                 if q.done {
                     break None;
                 }
+                q.waiting += 1;
                 q = shared
                     .available
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
+                q.waiting -= 1;
             }
         };
         let Some((frame, stamp)) = entry else { break };
-        handle_request(cfg, shared, &mut engines, &frame, stamp);
+        handle_request(cfg, shared, &mut engines, &mut out, &frame, stamp);
     }
 }
 
@@ -636,10 +718,11 @@ fn handle_request<W: Write>(
     cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
+    out: &mut Vec<u8>,
     frame: &[u8],
     stamp: Option<Stopwatch>,
 ) {
-    handle_request_inner(cfg, shared, engines, frame);
+    handle_request_inner(cfg, shared, engines, out, frame);
     if let Some(sw) = stamp {
         shared
             .tele
@@ -647,18 +730,26 @@ fn handle_request<W: Write>(
     }
 }
 
+/// Answers one data frame. Under the `serve.request` span, each layer
+/// has a child span: `serve.decode` (parse), `serve.cache` (the lookup,
+/// and on a miss the insert), `serve.decide` (the engine), `serve.encode`
+/// (assembling the response frame) and `serve.write`.
 fn handle_request_inner<W: Write>(
     cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
+    out: &mut Vec<u8>,
     frame: &[u8],
 ) {
     let mut span = billcap_obs::span("serve.request");
-    let req = match Request::parse(frame) {
+    let parsed = {
+        let _decode = billcap_obs::span("serve.decode");
+        Request::parse(frame)
+    };
+    let req = match parsed {
         Ok(r) => r,
         Err(e) => {
             span.field("error", 1.0);
-            drop(span);
             shared.respond(&Response::Error {
                 id: e.id,
                 message: e.message,
@@ -671,6 +762,7 @@ fn handle_request_inner<W: Write>(
 
     let state = engines.entry(req.policy).or_insert_with(|| {
         let system = DataCenterSystem::paper_system(req.policy);
+        let fingerprint = system_fingerprint(&system);
         let mut e = DecisionEngine::new(
             system,
             CapperConfig {
@@ -680,57 +772,75 @@ fn handle_request_inner<W: Write>(
         e.set_reuse_basis(cfg.reuse_basis);
         EngineState {
             engine: e,
+            fingerprint,
             reported: EngineStats::default(),
         }
     });
 
-    let key = shared.cache.as_ref().map(|_| {
-        DecisionKey::new(
-            state.engine.system(),
+    // Set on a miss: where the fresh body goes once it is rendered.
+    let mut insert_into = None;
+    if let Some(cache) = &shared.cache {
+        let lookup = billcap_obs::span("serve.cache");
+        let key = DecisionKey::with_fingerprint(
+            state.fingerprint,
             cfg.integral_servers,
             req.offered,
             req.premium_offered,
             &req.background_mw,
             req.hourly_budget,
-        )
-    });
-    if let (Some(cache), Some(key)) = (&shared.cache, &key) {
-        let hit = lock(cache).get(key);
-        if let Some(hit) = hit {
+        );
+        let hit = lock(cache).get(&key);
+        drop(lookup);
+        if let Some(body) = hit {
             shared.tele.cache_hits.fetch_add(1, Ordering::SeqCst);
             span.field("cached", 1.0);
-            drop(span);
-            shared.respond(&Response::Decision(DecisionMsg::from_decision(
-                req.id, &hit, true,
-            )));
+            {
+                let _encode = billcap_obs::span("serve.encode");
+                decision_frame(out, req.id, true, &body);
+            }
+            shared.send(Sent::Decision, out);
             return;
         }
         shared.tele.cache_misses.fetch_add(1, Ordering::SeqCst);
+        insert_into = Some((cache, key));
     }
 
-    let solve_watch = shared.tele.enabled().then(Stopwatch::start);
-    let result = state.engine.decide_hour(
-        req.offered,
-        req.premium_offered,
-        &req.background_mw,
-        req.hourly_budget,
-    );
-    if let Some(sw) = solve_watch {
-        shared
-            .tele
-            .record_solve_us(sw.elapsed_ns() as f64 / 1_000.0);
-    }
-    sync_engine_telemetry(shared.tele, state);
+    let result = {
+        let _decide = billcap_obs::span("serve.decide");
+        let solve_watch = shared.tele.enabled().then(Stopwatch::start);
+        let result = state.engine.decide_hour(
+            req.offered,
+            req.premium_offered,
+            &req.background_mw,
+            req.hourly_budget,
+        );
+        if let Some(sw) = solve_watch {
+            shared
+                .tele
+                .record_solve_us(sw.elapsed_ns() as f64 / 1_000.0);
+        }
+        sync_engine_telemetry(shared.tele, state);
+        result
+    };
 
     match result {
         Ok(decision) => {
             span.field("cost", decision.allocation.total_cost);
             span.field("solves", decision.trace.solves as f64);
-            drop(span);
-            if let (Some(cache), Some(key)) = (&shared.cache, key) {
+            let body = {
+                let _encode = billcap_obs::span("serve.encode");
+                let body = DecisionMsg::from_decision(req.id, &decision, false).render_body();
+                decision_frame(out, req.id, false, &body);
+                body
+            };
+            // The entry lands before the response is written, so a
+            // client that has read this answer and repeats the hour
+            // gets a hit.
+            if let Some((cache, key)) = insert_into {
+                let _insert = billcap_obs::span("serve.cache");
                 let mut c = lock(cache);
                 let before = c.evictions();
-                c.insert(key, decision.clone());
+                c.insert(key, CachedBody::from(body));
                 let evicted = c.evictions().saturating_sub(before);
                 drop(c);
                 if evicted > 0 {
@@ -740,13 +850,10 @@ fn handle_request_inner<W: Write>(
                         .fetch_add(evicted, Ordering::SeqCst);
                 }
             }
-            shared.respond(&Response::Decision(DecisionMsg::from_decision(
-                req.id, &decision, false,
-            )));
+            shared.send(Sent::Decision, out);
         }
         Err(e) => {
             span.field("error", 1.0);
-            drop(span);
             shared.respond(&Response::Error {
                 id: Some(req.id),
                 message: format!("decision failed: {e}"),
@@ -793,6 +900,7 @@ pub fn serve_unix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_frame;
     use billcap_core::BillCapper;
     use std::io::Cursor;
 
