@@ -12,7 +12,17 @@
 //! Non-finite floats are not representable in JSON and are rejected at
 //! serialization time by debug assertion (the recorder never produces
 //! them).
+//!
+//! Parsing has one engine, the [`Scanner`]: a single pass over the
+//! input's bytes that yields [`Token`]s, borrows every string without
+//! an escape, and keeps no tree. [`Value::parse`] builds its tree from
+//! those tokens; a hot reader such as the server's request decoder walks
+//! them directly, keeps the members it wants and [`Scanner::skip`]s the
+//! rest, and still accepts and rejects exactly what `Value::parse`
+//! does, with the same [`JsonError`]. Each input byte is examined a
+//! bounded number of times, so parsing is linear in the input length.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -126,13 +136,10 @@ impl Value {
     /// Parses a complete JSON document. Trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing characters"));
-        }
+        let mut scanner = Scanner::new(text);
+        let token = scanner.value()?;
+        let value = scanner.tree(token)?;
+        scanner.finish()?;
         Ok(value)
     }
 }
@@ -208,176 +215,346 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// The first token of a JSON value, as read by [`Scanner::value`].
+///
+/// Scalars arrive whole. A string borrows its bytes from the input
+/// unless it contains an escape, and a number is parsed as it is read,
+/// because reading a number is what validates it. A container arrives
+/// as its opening bracket only: its members follow from
+/// [`Scanner::key`] or [`Scanner::element`], or [`Scanner::skip`]
+/// consumes the rest of it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number without fraction or exponent part.
+    Int(i64),
+    /// A number carrying a fraction or exponent part.
+    Float(f64),
+    /// A string, unescaped.
+    Str(Cow<'a, str>),
+    /// `{` was read; the members follow.
+    ObjStart,
+    /// `[` was read; the elements follow.
+    ArrStart,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonError::at(*pos, format!("expected {:?}", c as char)))
-    }
+/// A borrowed, linear-time JSON reader: one pass over the input, no
+/// tree. [`Value::parse`] builds its tree from this reader, so both
+/// accept the same documents and fail with the same [`JsonError`].
+///
+/// Reading an object:
+///
+/// ```
+/// use billcap_obs::json::{Scanner, Token};
+///
+/// let mut s = Scanner::new(r#"{"a": 1, "b": [true, null]}"#);
+/// assert_eq!(s.value().unwrap(), Token::ObjStart);
+/// let mut first = true;
+/// let mut a = None;
+/// while let Some(key) = s.key(first).unwrap() {
+///     first = false;
+///     let token = s.value().unwrap();
+///     if key == "a" {
+///         a = Some(token);
+///     } else {
+///         s.skip(token).unwrap(); // validates what it skips
+///     }
+/// }
+/// s.finish().unwrap();
+/// assert_eq!(a, Some(Token::Int(1)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
     }
-}
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(JsonError::at(*pos, format!("expected {word:?}")))
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' | b'-' | b'+' => *pos += 1,
-            b'.' | b'e' | b'E' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "invalid number"))?;
-    if is_float {
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
-    } else {
-        text.parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
-    }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    fn consume(&mut self, c: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(JsonError::at(self.pos, format!("expected {:?}", c as char)))
+        }
+    }
+
+    /// Reads the next value's first token, after any whitespace.
+    pub fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(JsonError::at(self.pos, "unexpected end of input")),
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::ObjStart)
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at(*pos, "invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at(*pos, "invalid \\u escape"))?;
-                        // The exporters only emit BMP control escapes;
-                        // surrogate pairs are out of scope.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| JsonError::at(*pos, "invalid codepoint"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonError::at(*pos, "invalid escape")),
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::ArrStart)
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.keyword("true", Token::Bool(true)),
+            Some(b'f') => self.keyword("false", Token::Bool(false)),
+            Some(b'n') => self.keyword("null", Token::Null),
+            Some(_) => self.number(),
+        }
+    }
+
+    /// Reads the next member's key of the object whose `{` was read
+    /// last, and the `:` after it. `first` is true for the first call
+    /// after the `{`. `None` means the closing `}` was read.
+    pub fn key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        if first {
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(None);
+            }
+        } else {
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(None);
                 }
-                *pos += 1;
+                _ => return Err(JsonError::at(self.pos, "expected ',' or '}'")),
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid utf-8"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| JsonError::at(*pos, "unexpected end of input"))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            self.skip_ws();
         }
+        let key = self.string()?;
+        self.skip_ws();
+        self.consume(b':')?;
+        Ok(Some(key))
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
+    /// Steps to the next element of the array whose `[` was read last.
+    /// `first` is true for the first call after the `[`. `true` means
+    /// an element follows (read it with [`value`](Self::value));
+    /// `false` means the closing `]` was read.
+    pub fn element(&mut self, first: bool) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
             Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+                self.pos += 1;
+                Ok(false)
             }
-            _ => return Err(JsonError::at(*pos, "expected ',' or ']'")),
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(JsonError::at(self.pos, "expected ',' or ']'")),
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(pairs));
+    /// Consumes the rest of the value `token` started: nothing for a
+    /// scalar, every member through the closing bracket for a
+    /// container. What it skips is validated exactly as
+    /// [`Value::parse`] would, without building anything. Nesting costs
+    /// one heap byte per level, not a stack frame.
+    pub fn skip(&mut self, token: Token<'a>) -> Result<(), JsonError> {
+        // One entry per open container, innermost last: true for an
+        // object.
+        let mut open: Vec<bool> = Vec::new();
+        let mut token = token;
+        loop {
+            let mut first = match token {
+                Token::ObjStart => {
+                    open.push(true);
+                    true
+                }
+                Token::ArrStart => {
+                    open.push(false);
+                    true
+                }
+                _ => false,
+            };
+            loop {
+                let Some(&in_obj) = open.last() else {
+                    return Ok(());
+                };
+                let more = if in_obj {
+                    self.key(first)?.is_some()
+                } else {
+                    self.element(first)?
+                };
+                if more {
+                    break;
+                }
+                open.pop();
+                first = false;
             }
-            _ => return Err(JsonError::at(*pos, "expected ',' or '}'")),
+            token = self.value()?;
         }
+    }
+
+    /// Ends the document: only whitespace may follow.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(JsonError::at(self.pos, "trailing characters"))
+        }
+    }
+
+    fn keyword(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(JsonError::at(self.pos, format!("expected {word:?}")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
+                b'.' | b'e' | b'E' => {
+                    is_float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        // Every byte taken is ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
+        if is_float {
+            text.parse::<f64>()
+                .map(Token::Float)
+                .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
+        } else {
+            text.parse::<i64>()
+                .map(Token::Int)
+                .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
+        }
+    }
+
+    /// Reads a string. Its bytes are looked at once: `"` and `\` are
+    /// ASCII and never occur inside a multi-byte UTF-8 scalar, so runs
+    /// between them are copied (or borrowed) whole.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.consume(b'"')?;
+        let start = self.pos;
+        let run_end = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..run_end]));
+        }
+        let mut out = String::from(&self.text[start..run_end]);
+        loop {
+            match self.peek() {
+                None => return Err(JsonError::at(self.pos, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(&mut out)?;
+                }
+                Some(_) => {
+                    let from = self.pos;
+                    let to = self.plain_run();
+                    out.push_str(&self.text[from..to]);
+                }
+            }
+        }
+    }
+
+    /// Advances past bytes that are neither `"` nor `\` and returns the
+    /// offset where the run ends.
+    fn plain_run(&mut self) -> usize {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' {
+                break;
+            }
+            self.pos += 1;
+        }
+        self.pos
+    }
+
+    /// Decodes the escape after a `\` (already read) into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let bytes = self.text.as_bytes();
+        match bytes.get(self.pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let at = self.pos;
+                let hex = bytes
+                    .get(at + 1..at + 5)
+                    .ok_or_else(|| JsonError::at(at, "truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex)
+                    .map_err(|_| JsonError::at(at, "invalid \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| JsonError::at(at, "invalid \\u escape"))?;
+                // The exporters only emit BMP control escapes; surrogate
+                // pairs are out of scope.
+                out.push(
+                    char::from_u32(code).ok_or_else(|| JsonError::at(at, "invalid codepoint"))?,
+                );
+                self.pos += 4;
+            }
+            _ => return Err(JsonError::at(self.pos, "invalid escape")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Builds the tree of the value `token` started.
+    fn tree(&mut self, token: Token<'a>) -> Result<Value, JsonError> {
+        Ok(match token {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Int(i) => Value::Int(i),
+            Token::Float(f) => Value::Float(f),
+            Token::Str(s) => Value::Str(s.into_owned()),
+            Token::ObjStart => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.key(pairs.is_empty())? {
+                    let token = self.value()?;
+                    pairs.push((key.into_owned(), self.tree(token)?));
+                }
+                Value::Obj(pairs)
+            }
+            Token::ArrStart => {
+                let mut items = Vec::new();
+                while self.element(items.is_empty())? {
+                    let token = self.value()?;
+                    items.push(self.tree(token)?);
+                }
+                Value::Arr(items)
+            }
+        })
     }
 }
 

@@ -149,6 +149,17 @@ pub fn span(name: &str) -> Span {
     }
 }
 
+/// Opens a span on the global recorder that began when `since` was
+/// started (see [`Recorder::span_since`]), or an inert span when
+/// tracing is disabled.
+pub fn span_since(name: &str, since: &Stopwatch) -> Span {
+    if enabled() {
+        global().span_since(name, since)
+    } else {
+        Span::disabled()
+    }
+}
+
 /// Adds to a counter on the global recorder (no-op when disabled).
 pub fn counter(name: &str, delta: u64) {
     if enabled() {

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::metrics::{GaugeStat, HistogramSnapshot, SpanEvent, TraceSnapshot};
+use crate::Stopwatch;
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -134,15 +135,29 @@ impl Recorder {
     /// returned guard drops.
     pub fn span(&self, name: &str) -> Span {
         // detlint-allow(D003): span timing is advisory telemetry, excluded from replay digests
-        let start = Instant::now();
-        let (path, start_ns) = with_collector(&self.shared, |c| {
+        self.open(name, Instant::now())
+    }
+
+    /// Opens a span that began when `since` was started, for a phase
+    /// whose start was stamped before anyone knew it would be traced
+    /// (a request's wait in a queue). Nesting and closing are as for
+    /// [`span`](Self::span).
+    pub fn span_since(&self, name: &str, since: &Stopwatch) -> Span {
+        self.open(name, since.started_at())
+    }
+
+    fn open(&self, name: &str, start: Instant) -> Span {
+        let start_ns = start
+            .saturating_duration_since(self.shared.epoch)
+            .as_nanos() as u64;
+        let path = with_collector(&self.shared, |c| {
             let path = if let Some(parent) = c.stack.last() {
                 format!("{parent}/{name}")
             } else {
                 name.to_string()
             };
             c.stack.push(path.clone());
-            (path, self.shared.epoch.elapsed().as_nanos() as u64)
+            path
         });
         Span {
             inner: Some(SpanInner {
@@ -326,6 +341,27 @@ mod tests {
         assert_eq!(snap.counters["a"], 3);
         assert_eq!(snap.counters["b"], 5);
         assert_eq!(snap.orphans, 0);
+    }
+
+    #[test]
+    fn span_since_starts_at_the_stopwatch() {
+        let r = Recorder::new();
+        let since = Stopwatch::start();
+        let waited = since.elapsed_ns();
+        {
+            let _outer = r.span("outer");
+            drop(r.span_since("wait", &since));
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.orphans, 0);
+        let wait = &snap.spans["outer/wait"];
+        assert_eq!(wait.count, 1);
+        // The monotonic clock read before the span opened bounds its
+        // duration from below.
+        assert!(wait.total_ns >= waited);
+        let event = snap.events.iter().find(|e| e.path == "outer/wait").unwrap();
+        let outer = snap.events.iter().find(|e| e.path == "outer").unwrap();
+        assert!(event.start_ns <= outer.start_ns, "backdated to the stamp");
     }
 
     #[test]

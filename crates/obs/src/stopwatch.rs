@@ -37,6 +37,11 @@ impl Stopwatch {
         self.start.elapsed()
     }
 
+    /// The instant the clock was started.
+    pub(crate) fn started_at(&self) -> Instant {
+        self.start
+    }
+
     /// Elapsed time in (fractional) seconds.
     pub fn elapsed_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64()

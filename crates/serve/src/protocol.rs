@@ -28,10 +28,20 @@
 //! on the decision ([`DecisionMsg::render_body`]). The server caches
 //! bodies and answers a repeat of an hour by writing a new head before
 //! the stored body; [`DecisionMsg::to_value`] renders the same fields
-//! in the same order, so both paths give identical bytes.
+//! in the same order, so both paths give identical bytes. One ordered
+//! field writer drives the head, the body and `to_value`: the body is
+//! written straight into bytes, and `to_value` builds the tree that
+//! clients render.
+//!
+//! [`Request::parse`] decodes in one pass with
+//! [`billcap_obs::json::Scanner`] and builds no tree. It keeps the first
+//! occurrence of each field, as [`Value::get`] would on a parsed tree,
+//! and validates unknown members it skips, so every payload decodes to
+//! the same request, or fails with the same error, as the tree would
+//! give.
 
 use billcap_core::{HourDecision, HourOutcome};
-use billcap_obs::json::Value;
+use billcap_obs::json::{JsonError, Scanner, Token, Value};
 use billcap_obs::MetricsDoc;
 use std::io::{Read, Write};
 
@@ -190,6 +200,148 @@ fn require_u64(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field '{key}'"))
 }
 
+/// The first occurrence of a scalar request field, as far as
+/// [`Request::parse`] needs to know it.
+#[derive(Clone, Copy)]
+enum Scalar {
+    /// The key never occurred.
+    Absent,
+    Null,
+    Int(i64),
+    Float(f64),
+    /// A string, boolean, object or array.
+    Other,
+}
+
+impl Scalar {
+    fn of(token: &Token<'_>) -> Self {
+        match *token {
+            Token::Null => Scalar::Null,
+            Token::Int(i) => Scalar::Int(i),
+            Token::Float(f) => Scalar::Float(f),
+            _ => Scalar::Other,
+        }
+    }
+
+    /// [`Value::as_u64`] of the field.
+    fn as_u64(self) -> Option<u64> {
+        match self {
+            Scalar::Int(i) if i >= 0 => Some(i as u64),
+            _ => None,
+        }
+    }
+
+    /// [`Value::as_f64`] of the field.
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Scalar::Int(i) => Some(i as f64),
+            Scalar::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    fn require_f64(self, key: &str) -> Result<f64, String> {
+        self.as_f64()
+            .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
+    }
+}
+
+/// The first occurrence of the `background` field.
+enum Background {
+    /// Not an array.
+    NotArray,
+    /// An array holding a non-number.
+    NonNumeric,
+    /// An array of numbers.
+    Numbers(Vec<f64>),
+}
+
+/// The request fields of one payload, gathered in a single scan.
+struct RequestFields {
+    id: Scalar,
+    policy: Scalar,
+    offered: Scalar,
+    premium: Scalar,
+    budget: Scalar,
+    background: Option<Background>,
+}
+
+impl RequestFields {
+    /// Scans a whole JSON document. A document that is not an object
+    /// is valid JSON with every field absent.
+    fn scan(text: &str) -> Result<Self, JsonError> {
+        let mut f = RequestFields {
+            id: Scalar::Absent,
+            policy: Scalar::Absent,
+            offered: Scalar::Absent,
+            premium: Scalar::Absent,
+            budget: Scalar::Absent,
+            background: None,
+        };
+        let mut s = Scanner::new(text);
+        let token = s.value()?;
+        if token != Token::ObjStart {
+            s.skip(token)?;
+            s.finish()?;
+            return Ok(f);
+        }
+        let mut first = true;
+        while let Some(key) = s.key(first)? {
+            first = false;
+            let token = s.value()?;
+            let slot = match &*key {
+                "id" => &mut f.id,
+                "policy" => &mut f.policy,
+                "offered" => &mut f.offered,
+                "premium" => &mut f.premium,
+                "budget" => &mut f.budget,
+                "background" if f.background.is_none() => {
+                    f.background = Some(scan_background(&mut s, token)?);
+                    continue;
+                }
+                _ => {
+                    s.skip(token)?;
+                    continue;
+                }
+            };
+            if matches!(slot, Scalar::Absent) {
+                *slot = Scalar::of(&token);
+            }
+            s.skip(token)?;
+        }
+        s.finish()?;
+        Ok(f)
+    }
+}
+
+/// Reads the value of a first `background` member whose first token is
+/// `token`, through its end.
+fn scan_background<'a>(s: &mut Scanner<'a>, token: Token<'a>) -> Result<Background, JsonError> {
+    if token != Token::ArrStart {
+        s.skip(token)?;
+        return Ok(Background::NotArray);
+    }
+    let mut numbers = Vec::new();
+    let mut numeric = true;
+    let mut first = true;
+    while s.element(first)? {
+        first = false;
+        match s.value()? {
+            Token::Int(i) => numbers.push(i as f64),
+            Token::Float(f) => numbers.push(f),
+            other => {
+                numeric = false;
+                s.skip(other)?;
+            }
+        }
+    }
+    Ok(if numeric {
+        Background::Numbers(numbers)
+    } else {
+        Background::NonNumeric
+    })
+}
+
 /// One decide-hour request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -234,27 +386,47 @@ impl Request {
     /// Parses and validates a request payload. On failure the error
     /// carries the request id when one could be extracted, so the
     /// server can still correlate the error response.
+    ///
+    /// The payload is read in one pass with a [`Scanner`], without a
+    /// [`Value`] tree. A field that occurs more than once takes its
+    /// first occurrence (the rule of [`Value::get`]); unknown members
+    /// are skipped but still validated. Every payload therefore gives
+    /// the same result, or the same error, as parsing the whole tree and
+    /// reading the fields from it.
     pub fn parse(payload: &[u8]) -> Result<Request, RequestError> {
         let text = std::str::from_utf8(payload).map_err(|e| RequestError {
             id: None,
             message: format!("payload is not UTF-8: {e}"),
         })?;
-        let v = Value::parse(text).map_err(|e| RequestError {
+        let f = RequestFields::scan(text).map_err(|e| RequestError {
             id: None,
             message: format!("payload is not JSON: {e}"),
         })?;
-        let id = v.get("id").and_then(Value::as_u64);
+        let id = f.id.as_u64();
         let fail = |message: String| RequestError { id, message };
         let id_val = id.ok_or_else(|| fail("missing or non-integer field 'id'".into()))?;
-        let policy = v
-            .get("policy")
-            .and_then(Value::as_u64)
+        let policy = f
+            .policy
+            .as_u64()
             .ok_or_else(|| fail("missing or non-integer field 'policy'".into()))?
             as usize;
-        let offered = require_f64(&v, "offered").map_err(&fail)?;
-        let premium_offered = require_f64(&v, "premium").map_err(&fail)?;
-        let background_mw = require_f64_vec(&v, "background").map_err(&fail)?;
-        let hourly_budget = budget_from_value(v.get("budget")).map_err(&fail)?;
+        let offered = f.offered.require_f64("offered").map_err(&fail)?;
+        let premium_offered = f.premium.require_f64("premium").map_err(&fail)?;
+        let background_mw = match f.background {
+            Some(Background::Numbers(v)) => v,
+            Some(Background::NonNumeric) => {
+                return Err(fail("non-numeric element in 'background'".into()))
+            }
+            None | Some(Background::NotArray) => {
+                return Err(fail("missing or non-array field 'background'".into()))
+            }
+        };
+        let hourly_budget = match f.budget {
+            Scalar::Absent | Scalar::Null => f64::INFINITY,
+            other => other
+                .as_f64()
+                .ok_or_else(|| fail("budget must be a number or null".into()))?,
+        };
         let req = Request {
             id: id_val,
             policy,
@@ -398,6 +570,148 @@ fn outcome_from_tag(tag: &str) -> Result<HourOutcome, String> {
     }
 }
 
+/// Receives a decision payload's fields in wire order. The order is
+/// written once, in [`head_fields`] and `DecisionMsg::body_fields`;
+/// [`TreeFields`] turns it into a [`Value`] and [`ByteFields`] into the
+/// bytes [`Value::render`] would give that value.
+trait FieldWriter {
+    fn str(&mut self, key: &'static str, v: &'static str);
+    fn bool(&mut self, key: &'static str, v: bool);
+    fn int(&mut self, key: &'static str, v: i64);
+    fn float(&mut self, key: &'static str, v: f64);
+    fn null(&mut self, key: &'static str);
+    fn floats(&mut self, key: &'static str, v: &[f64]);
+    fn ints(&mut self, key: &'static str, v: impl Iterator<Item = i64>);
+}
+
+/// Writes the per-request head fields, in wire order.
+fn head_fields(id: u64, cached: bool, w: &mut impl FieldWriter) {
+    w.str("type", "decision");
+    w.int("id", id as i64);
+    w.bool("cached", cached);
+}
+
+/// Collects the fields as the members of a [`Value::Obj`].
+struct TreeFields(Vec<(String, Value)>);
+
+impl TreeFields {
+    fn push(&mut self, key: &str, v: Value) {
+        self.0.push((key.into(), v));
+    }
+}
+
+impl FieldWriter for TreeFields {
+    fn str(&mut self, key: &'static str, v: &'static str) {
+        self.push(key, Value::Str(v.into()));
+    }
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.push(key, Value::Bool(v));
+    }
+    fn int(&mut self, key: &'static str, v: i64) {
+        self.push(key, Value::Int(v));
+    }
+    fn float(&mut self, key: &'static str, v: f64) {
+        self.push(key, Value::Float(v));
+    }
+    fn null(&mut self, key: &'static str) {
+        self.push(key, Value::Null);
+    }
+    fn floats(&mut self, key: &'static str, v: &[f64]) {
+        self.push(
+            key,
+            Value::Arr(v.iter().map(|&f| Value::Float(f)).collect()),
+        );
+    }
+    fn ints(&mut self, key: &'static str, v: impl Iterator<Item = i64>) {
+        self.push(key, Value::Arr(v.map(Value::Int).collect()));
+    }
+}
+
+/// Appends the fields as compact JSON object members, `"key":value`,
+/// comma-separated, rendered exactly as [`Value::render`] renders them.
+/// Keys and string values are fixed identifiers that need no escaping.
+struct ByteFields<'o> {
+    out: &'o mut Vec<u8>,
+    /// No member has been written yet, so none needs a separator.
+    first: bool,
+}
+
+impl ByteFields<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        self.quoted(key);
+        self.out.push(b':');
+    }
+
+    fn quoted(&mut self, s: &str) {
+        debug_assert!(
+            s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+            "{s:?} needs escaping"
+        );
+        self.out.push(b'"');
+        self.out.extend_from_slice(s.as_bytes());
+        self.out.push(b'"');
+    }
+
+    fn display(&mut self, v: impl std::fmt::Display) {
+        use std::io::Write as _;
+        // Writing to a Vec cannot fail.
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// `{:?}`, the shortest text that reads back as the same `f64`.
+    fn float_text(&mut self, v: f64) {
+        use std::io::Write as _;
+        debug_assert!(v.is_finite(), "non-finite float {v} is not JSON");
+        let _ = write!(self.out, "{v:?}");
+    }
+
+    fn array<T>(&mut self, items: impl Iterator<Item = T>, mut item: impl FnMut(&mut Self, T)) {
+        self.out.push(b'[');
+        for (i, x) in items.enumerate() {
+            if i > 0 {
+                self.out.push(b',');
+            }
+            item(self, x);
+        }
+        self.out.push(b']');
+    }
+}
+
+impl FieldWriter for ByteFields<'_> {
+    fn str(&mut self, key: &'static str, v: &'static str) {
+        self.key(key);
+        self.quoted(v);
+    }
+    fn bool(&mut self, key: &'static str, v: bool) {
+        self.key(key);
+        self.display(v);
+    }
+    fn int(&mut self, key: &'static str, v: i64) {
+        self.key(key);
+        self.display(v);
+    }
+    fn float(&mut self, key: &'static str, v: f64) {
+        self.key(key);
+        self.float_text(v);
+    }
+    fn null(&mut self, key: &'static str) {
+        self.key(key);
+        self.out.extend_from_slice(b"null");
+    }
+    fn floats(&mut self, key: &'static str, v: &[f64]) {
+        self.key(key);
+        self.array(v.iter(), |w, &f| w.float_text(f));
+    }
+    fn ints(&mut self, key: &'static str, v: impl Iterator<Item = i64>) {
+        self.key(key);
+        self.array(v, |w, i| w.display(i));
+    }
+}
+
 /// The deterministic image of an [`HourDecision`], as shipped to the
 /// client. Excludes the wall-clock trace fields (machine noise) and
 /// includes the `cached` marker.
@@ -473,29 +787,21 @@ impl DecisionMsg {
     /// fields ([`render_head`](Self::render_head)) followed by the
     /// per-decision body fields ([`render_body`](Self::render_body)).
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("type".into(), Value::Str("decision".into())),
-            ("id".into(), Value::Int(self.id as i64)),
-            ("cached".into(), Value::Bool(self.cached)),
-        ];
-        fields.extend(self.body_fields());
-        Value::Obj(fields)
+        let mut fields = TreeFields(Vec::new());
+        head_fields(self.id, self.cached, &mut fields);
+        self.body_fields(&mut fields);
+        Value::Obj(fields.0)
     }
 
     /// Appends the rendered head, `{"type":"decision","id":N,"cached":B`,
     /// to `out`. The head is the only part of a decision payload that
     /// depends on the request rather than on the decision, so head plus
     /// [`render_body`](Self::render_body) is byte-identical to
-    /// `to_value().render()`; it is formatted here without building a
-    /// [`Value`], exactly as [`Value::Int`] and [`Value::Bool`] render.
+    /// `to_value().render()`: all three write the same fields in the
+    /// same order, here straight into bytes.
     pub fn render_head(id: u64, cached: bool, out: &mut Vec<u8>) {
-        use std::io::Write as _;
-        // Writing to a Vec cannot fail.
-        let _ = write!(
-            out,
-            "{{\"type\":\"decision\",\"id\":{},\"cached\":{cached}",
-            id as i64
-        );
+        out.push(b'{');
+        head_fields(id, cached, &mut ByteFields { out, first: true });
     }
 
     /// Renders the body: every field after `cached`, from
@@ -504,49 +810,41 @@ impl DecisionMsg {
     /// of the hour by appending it to a fresh
     /// [`render_head`](Self::render_head).
     pub fn render_body(&self) -> Vec<u8> {
-        // The body fields rendered as an object, `{…}`, with the
-        // opening brace turned into the separator that follows the head.
-        let mut body = Value::Obj(self.body_fields()).render().into_bytes();
-        if let Some(first) = body.first_mut() {
-            *first = b',';
-        }
+        let mut body = Vec::new();
+        self.render_body_into(&mut body);
         body
     }
 
-    /// The decision-dependent fields, in wire order.
-    fn body_fields(&self) -> Vec<(String, Value)> {
-        let farr = |v: &[f64]| Value::Arr(v.iter().map(|&f| Value::Float(f)).collect());
-        vec![
-            (
-                "outcome".into(),
-                Value::Str(outcome_tag(self.outcome).into()),
-            ),
-            ("offered".into(), Value::Float(self.offered)),
-            ("premium_offered".into(), Value::Float(self.premium_offered)),
-            ("premium_served".into(), Value::Float(self.premium_served)),
-            ("ordinary_served".into(), Value::Float(self.ordinary_served)),
-            ("budget".into(), budget_to_value(self.budget)),
-            ("lambda".into(), farr(&self.lambda)),
-            (
-                "servers".into(),
-                Value::Arr(self.servers.iter().map(|&s| Value::Int(s as i64)).collect()),
-            ),
-            ("power_mw".into(), farr(&self.power_mw)),
-            ("price".into(), farr(&self.price)),
-            (
-                "level".into(),
-                Value::Arr(self.level.iter().map(|&k| Value::Int(k as i64)).collect()),
-            ),
-            ("cost".into(), farr(&self.cost)),
-            ("total_cost".into(), Value::Float(self.total_cost)),
-            ("total_lambda".into(), Value::Float(self.total_lambda)),
-            ("solves".into(), Value::Int(self.solves as i64)),
-            ("nodes".into(), Value::Int(self.nodes as i64)),
-            (
-                "lp_iterations".into(),
-                Value::Int(self.lp_iterations as i64),
-            ),
-        ]
+    /// [`render_body`](Self::render_body), appended to `out` (after a
+    /// head, to make a whole payload in one buffer).
+    pub fn render_body_into(&self, out: &mut Vec<u8>) {
+        self.body_fields(&mut ByteFields { out, first: false });
+        out.push(b'}');
+    }
+
+    /// Writes the decision-dependent fields, in wire order.
+    fn body_fields(&self, w: &mut impl FieldWriter) {
+        w.str("outcome", outcome_tag(self.outcome));
+        w.float("offered", self.offered);
+        w.float("premium_offered", self.premium_offered);
+        w.float("premium_served", self.premium_served);
+        w.float("ordinary_served", self.ordinary_served);
+        if self.budget.is_finite() {
+            w.float("budget", self.budget);
+        } else {
+            w.null("budget");
+        }
+        w.floats("lambda", &self.lambda);
+        w.ints("servers", self.servers.iter().map(|&s| s as i64));
+        w.floats("power_mw", &self.power_mw);
+        w.floats("price", &self.price);
+        w.ints("level", self.level.iter().map(|&k| k as i64));
+        w.floats("cost", &self.cost);
+        w.float("total_cost", self.total_cost);
+        w.float("total_lambda", self.total_lambda);
+        w.int("solves", self.solves as i64);
+        w.int("nodes", self.nodes as i64);
+        w.int("lp_iterations", self.lp_iterations as i64);
     }
 
     /// Parses a decision payload (the client half of the protocol).
@@ -907,6 +1205,125 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The decision payload as the tree it was rendered from before the
+    /// fields were written straight into bytes: the oracle for wire
+    /// order and for every value's text.
+    fn decision_tree(m: &DecisionMsg) -> Value {
+        let floats = |v: &[f64]| Value::Arr(v.iter().map(|&f| Value::Float(f)).collect());
+        Value::Obj(vec![
+            ("type".into(), Value::Str("decision".into())),
+            ("id".into(), Value::Int(m.id as i64)),
+            ("cached".into(), Value::Bool(m.cached)),
+            ("outcome".into(), Value::Str(outcome_tag(m.outcome).into())),
+            ("offered".into(), Value::Float(m.offered)),
+            ("premium_offered".into(), Value::Float(m.premium_offered)),
+            ("premium_served".into(), Value::Float(m.premium_served)),
+            ("ordinary_served".into(), Value::Float(m.ordinary_served)),
+            ("budget".into(), budget_to_value(m.budget)),
+            ("lambda".into(), floats(&m.lambda)),
+            (
+                "servers".into(),
+                Value::Arr(m.servers.iter().map(|&s| Value::Int(s as i64)).collect()),
+            ),
+            ("power_mw".into(), floats(&m.power_mw)),
+            ("price".into(), floats(&m.price)),
+            (
+                "level".into(),
+                Value::Arr(m.level.iter().map(|&k| Value::Int(k as i64)).collect()),
+            ),
+            ("cost".into(), floats(&m.cost)),
+            ("total_cost".into(), Value::Float(m.total_cost)),
+            ("total_lambda".into(), Value::Float(m.total_lambda)),
+            ("solves".into(), Value::Int(m.solves as i64)),
+            ("nodes".into(), Value::Int(m.nodes as i64)),
+            ("lp_iterations".into(), Value::Int(m.lp_iterations as i64)),
+        ])
+    }
+
+    #[test]
+    fn direct_rendering_matches_the_tree_on_edge_values() {
+        let edge = [
+            -0.0,
+            0.0,
+            5e-324,
+            1e-7,
+            0.1,
+            1.0,
+            3e8,
+            1e16,
+            1e21,
+            -2.5e-3,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        let outcomes = [
+            HourOutcome::WithinBudget,
+            HourOutcome::Throttled,
+            HourOutcome::PremiumOverride,
+        ];
+        let mut cases = Vec::new();
+        for (i, &f) in edge.iter().enumerate() {
+            let g = edge[(i + 5) % edge.len()];
+            cases.push(DecisionMsg {
+                id: [0, 1, i64::MAX as u64, u64::MAX][i % 4],
+                cached: i % 2 == 1,
+                outcome: outcomes[i % 3],
+                offered: f,
+                premium_offered: g,
+                premium_served: -f,
+                ordinary_served: g,
+                budget: [f, f64::INFINITY][i % 2],
+                lambda: vec![f, g, 0.5],
+                servers: vec![0, 17, u64::MAX],
+                power_mw: vec![g],
+                price: edge.to_vec(),
+                level: vec![0, 2, usize::MAX],
+                cost: vec![f],
+                total_cost: g,
+                total_lambda: f,
+                solves: i,
+                nodes: usize::MAX,
+                lp_iterations: 0,
+            });
+        }
+        // Every vector empty, and an unlimited budget.
+        cases.push(DecisionMsg {
+            id: 3,
+            cached: false,
+            outcome: HourOutcome::WithinBudget,
+            offered: 1.0,
+            premium_offered: 0.0,
+            premium_served: 0.0,
+            ordinary_served: 1.0,
+            budget: f64::INFINITY,
+            lambda: vec![],
+            servers: vec![],
+            power_mw: vec![],
+            price: vec![],
+            level: vec![],
+            cost: vec![],
+            total_cost: 0.0,
+            total_lambda: 0.0,
+            solves: 0,
+            nodes: 0,
+            lp_iterations: 0,
+        });
+        for m in &cases {
+            let want = decision_tree(m).render();
+            let mut bytes = Vec::new();
+            DecisionMsg::render_head(m.id, m.cached, &mut bytes);
+            let head_len = bytes.len();
+            m.render_body_into(&mut bytes);
+            assert_eq!(String::from_utf8(bytes.clone()).unwrap(), want);
+            assert_eq!(m.render_body(), &bytes[head_len..]);
+            assert_eq!(m.to_value().render(), want);
+        }
+        let unlimited = String::from_utf8(cases[1].render_body()).unwrap();
+        assert!(unlimited.contains(",\"budget\":null,"), "{unlimited}");
+        let empty = String::from_utf8(cases.last().unwrap().render_body()).unwrap();
+        assert!(empty.contains(",\"lambda\":[],\"servers\":[],"), "{empty}");
     }
 
     #[test]

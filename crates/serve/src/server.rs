@@ -29,7 +29,9 @@
 //!   continues; framing errors (truncation, oversized length) poison
 //!   the stream — the server emits one final `error` frame and shuts
 //!   down cleanly. Neither ever panics a worker.
-//! * With tracing on, each data frame runs under a `serve.request`
+//! * With tracing on, each data frame's wait in the queue, from the
+//!   reader's enqueue stamp until a decider takes it, is a top-level
+//!   `serve.queue` span. The frame then runs under a `serve.request`
 //!   span with children `serve.decode`, `serve.cache`, `serve.decide`,
 //!   `serve.encode` and `serve.write`.
 //!
@@ -258,7 +260,8 @@ impl ServerTelemetry {
 }
 
 struct Queue {
-    /// Frames with their enqueue stamp (present iff telemetry is on).
+    /// Frames with their enqueue stamp (present iff telemetry or
+    /// tracing is on).
     frames: VecDeque<(Vec<u8>, Option<Stopwatch>)>,
     done: bool,
     /// Deciders blocked on `available` (or woken but not yet back in
@@ -612,7 +615,7 @@ fn run_reader<R: Read, W: Write>(
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 shared.tele.requests.fetch_add(1, Ordering::SeqCst);
                 data_frames += 1;
-                let stamp = instrumented.then(Stopwatch::start);
+                let stamp = (instrumented || billcap_obs::enabled()).then(Stopwatch::start);
                 let mut q = lock(&shared.queue);
                 q.frames.push_back((frame, stamp));
                 if billcap_obs::enabled() {
@@ -722,8 +725,12 @@ fn handle_request<W: Write>(
     frame: &[u8],
     stamp: Option<Stopwatch>,
 ) {
+    if let Some(sw) = &stamp {
+        // The wait ends here, as the decider takes the frame.
+        drop(billcap_obs::span_since("serve.queue", sw));
+    }
     handle_request_inner(cfg, shared, engines, out, frame);
-    if let Some(sw) = stamp {
+    if let Some(sw) = stamp.filter(|_| shared.tele.enabled()) {
         shared
             .tele
             .record_request_us(sw.elapsed_ns() as f64 / 1_000.0);
@@ -827,20 +834,25 @@ fn handle_request_inner<W: Write>(
         Ok(decision) => {
             span.field("cost", decision.allocation.total_cost);
             span.field("solves", decision.trace.solves as f64);
-            let body = {
+            // The body is rendered once, into the frame; the cache
+            // entry is copied from there.
+            let body_start = {
                 let _encode = billcap_obs::span("serve.encode");
-                let body = DecisionMsg::from_decision(req.id, &decision, false).render_body();
-                decision_frame(out, req.id, false, &body);
-                body
+                begin_frame(out);
+                DecisionMsg::render_head(req.id, false, out);
+                let body_start = out.len();
+                DecisionMsg::from_decision(req.id, &decision, false).render_body_into(out);
+                body_start
             };
             // The entry lands before the response is written, so a
             // client that has read this answer and repeats the hour
             // gets a hit.
             if let Some((cache, key)) = insert_into {
                 let _insert = billcap_obs::span("serve.cache");
+                let body = CachedBody::from(&out[body_start..]);
                 let mut c = lock(cache);
                 let before = c.evictions();
-                c.insert(key, CachedBody::from(body));
+                c.insert(key, body);
                 let evicted = c.evictions().saturating_sub(before);
                 drop(c);
                 if evicted > 0 {

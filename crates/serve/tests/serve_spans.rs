@@ -1,7 +1,8 @@
-//! The serve path is traced layer by layer: every data frame opens a
+//! The serve path is traced layer by layer: every data frame's wait in
+//! the queue is a top-level `serve.queue` span, and its handling opens a
 //! `serve.request` span whose children name the decode, cache, decide,
-//! encode and write steps, and the span counts are an exact account of
-//! the run's requests, hits and misses. No timing is asserted.
+//! encode and write steps. The span counts are an exact account of the
+//! run's requests, hits and misses. No timing is asserted.
 //!
 //! One `#[test]` only: the global recorder and the enable flag are
 //! process-wide state.
@@ -53,6 +54,7 @@ fn traced_serve_nests_one_span_per_layer_under_each_request() {
     assert!(stats.cache_misses >= 4, "each distinct hour misses once");
 
     let count = |path: &str| snap.spans.get(path).map_or(0, |s| s.count);
+    assert_eq!(count("serve.queue"), stats.requests);
     assert_eq!(count("serve.request"), stats.requests);
     assert_eq!(count("serve.request/serve.decode"), stats.requests);
     // One lookup per decodable request, one insert per miss.
@@ -64,6 +66,8 @@ fn traced_serve_nests_one_span_per_layer_under_each_request() {
     // Every request is answered: a decision or an error frame.
     assert_eq!(count("serve.request/serve.encode"), stats.requests);
     assert_eq!(count("serve.request/serve.write"), stats.requests);
+    // The wait ends before the request's handling begins.
+    assert_eq!(count("serve.request/serve.queue"), 0);
     for layer in ["decode", "cache", "decide", "encode", "write"] {
         assert_eq!(
             count(&format!("serve.{layer}")),
